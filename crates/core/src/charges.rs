@@ -21,14 +21,20 @@ use rayon::prelude::*;
 
 use crate::interp::barycentric::{dim_eval, dim_term, phase1_factor, DimEval};
 use crate::interp::tensor::TensorGrid;
+use crate::p2p::Sources;
 use crate::tree::SourceTree;
 
-/// Per-cluster interpolation data: the tensor grid and (for computed
-/// clusters) the `(n+1)³` modified charges in linear index order.
+/// Per-cluster interpolation data: the tensor grid, its proxy-coordinate
+/// columns and (for computed clusters) the `(n+1)³` modified charges in
+/// linear index order.
 #[derive(Debug, Clone)]
 pub struct ClusterCharges {
     degree: usize,
     grids: Vec<TensorGrid>,
+    /// Proxy `[x, y, z]` columns of every node, concatenated in node
+    /// order, `(n+1)³` per node — computed once so no evaluation loop
+    /// rebuilds a proxy point.
+    proxies: [Vec<f64>; 3],
     qhat: Vec<Vec<f64>>,
 }
 
@@ -59,10 +65,16 @@ impl ClusterCharges {
             .iter()
             .map(|n| TensorGrid::new(degree, &n.bbox))
             .collect();
+        let cap = grids.len() * (degree + 1).pow(3);
+        let mut proxies = std::array::from_fn(|_| Vec::with_capacity(cap));
+        for g in &grids {
+            g.extend_proxy_columns(&mut proxies);
+        }
         let qhat = vec![Vec::new(); tree.num_nodes()];
         Self {
             degree,
             grids,
+            proxies,
             qhat,
         }
     }
@@ -98,6 +110,20 @@ impl ClusterCharges {
     #[inline]
     pub fn charges(&self, idx: usize) -> &[f64] {
         &self.qhat[idx]
+    }
+
+    /// A node's proxies and modified charges as one P2P source block
+    /// (Eq. 11). Panics if the node's charges have not been computed.
+    pub fn proxy_sources(&self, idx: usize) -> Sources<'_> {
+        let qhat = &self.qhat[idx];
+        assert!(
+            !qhat.is_empty(),
+            "modified charges missing for cluster {idx}"
+        );
+        let m3 = self.grids[idx].len();
+        let r = idx * m3..(idx + 1) * m3;
+        let [x, y, z] = &self.proxies;
+        Sources::new(&x[r.clone()], &y[r.clone()], &z[r], qhat)
     }
 
     /// Whether a node's charges have been computed.

@@ -14,6 +14,7 @@ use rayon::prelude::*;
 use crate::charges::ClusterCharges;
 use crate::engine::PreparedTreecode;
 use crate::kernel::GradientKernel;
+use crate::p2p::{FieldOut, Sources, Targets};
 use crate::particles::ParticleSet;
 use crate::traversal::BatchLists;
 use crate::tree::{batch::Batch, SourceTree};
@@ -36,9 +37,9 @@ pub struct FieldResult {
 /// interaction lists, accumulating into the four batch-local output
 /// slices (each of length `batch.num_targets()`). This is the field
 /// counterpart of [`crate::engine::eval_batch_into`] — the same loop
-/// structure, with a four-output kernel — and is the scalar body shared
-/// by the serial path, the rayon path, and the simulated-GPU field
-/// kernels (which must stay bitwise identical to it).
+/// structure, with a four-output kernel — shared by the serial and the
+/// rayon paths; the simulated-GPU field kernels run the same
+/// [`crate::p2p::field`] body and stay bitwise identical to it.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_field_batch_into(
     batch: &Batch,
@@ -53,49 +54,18 @@ pub fn eval_field_batch_into(
     gz: &mut [f64],
 ) {
     debug_assert_eq!(pot.len(), batch.num_targets());
+    let t = Targets::of(targets, batch.start..batch.end);
     // Approximation path (Eq. 11): proxies with modified charges.
     for &ci in &lists.approx {
-        let ci = ci as usize;
-        let grid = charges.grid(ci);
-        let qhat = charges.charges(ci);
-        assert!(!qhat.is_empty(), "charges missing for cluster {ci}");
-        for (i, t) in (batch.start..batch.end).enumerate() {
-            let (tx, ty, tz) = (targets.x[t], targets.y[t], targets.z[t]);
-            let (mut p, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
-            for (k, &qh) in qhat.iter().enumerate() {
-                let s = grid.point_linear(k);
-                let (g, dgx, dgy, dgz) = kernel.eval_with_grad(tx - s.x, ty - s.y, tz - s.z);
-                p += g * qh;
-                ax += dgx * qh;
-                ay += dgy * qh;
-                az += dgz * qh;
-            }
-            pot[i] += p;
-            gx[i] += ax;
-            gy[i] += ay;
-            gz[i] += az;
-        }
+        let out = FieldOut::new(pot, gx, gy, gz);
+        kernel.p2p_field(t, charges.proxy_sources(ci as usize), out);
     }
     // Direct path (Eq. 9): cluster sources.
     let sp = tree.particles();
     for &ci in &lists.direct {
         let node = tree.node(ci as usize);
-        for (i, t) in (batch.start..batch.end).enumerate() {
-            let (tx, ty, tz) = (targets.x[t], targets.y[t], targets.z[t]);
-            let (mut p, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
-            for j in node.start..node.end {
-                let (g, dgx, dgy, dgz) =
-                    kernel.eval_with_grad(tx - sp.x[j], ty - sp.y[j], tz - sp.z[j]);
-                p += g * sp.q[j];
-                ax += dgx * sp.q[j];
-                ay += dgy * sp.q[j];
-                az += dgz * sp.q[j];
-            }
-            pot[i] += p;
-            gx[i] += ax;
-            gy[i] += ay;
-            gz[i] += az;
-        }
+        let out = FieldOut::new(pot, gx, gy, gz);
+        kernel.p2p_field(t, Sources::of(sp, node.start..node.end), out);
     }
 }
 

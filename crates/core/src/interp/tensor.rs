@@ -91,25 +91,34 @@ impl TensorGrid {
         (idx / (m * m), (idx / m) % m, idx % m)
     }
 
-    /// Materialize all proxy points in linear order. Mostly for tests and
-    /// for staging onto the simulated device.
-    pub fn points_flat(&self) -> Vec<Point3> {
-        let mut out = Vec::with_capacity(self.len());
+    /// Append the proxy coordinates to `[x, y, z]` columns in linear
+    /// order — the source columns of the approximation P2P block.
+    pub fn extend_proxy_columns(&self, cols: &mut [Vec<f64>; 3]) {
         let m = self.nodes_per_dim();
         for k1 in 0..m {
             for k2 in 0..m {
                 for k3 in 0..m {
-                    out.push(self.point(k1, k2, k3));
+                    cols[0].push(self.dims[0].node(k1));
+                    cols[1].push(self.dims[1].node(k2));
+                    cols[2].push(self.dims[2].node(k3));
                 }
             }
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every proxy point in linear order.
+    fn points(g: &TensorGrid) -> Vec<Point3> {
+        let mut c: [Vec<f64>; 3] = Default::default();
+        g.extend_proxy_columns(&mut c);
+        (0..g.len())
+            .map(|k| Point3::new(c[0][k], c[1][k], c[2][k]))
+            .collect()
+    }
 
     fn unit_box() -> BoundingBox {
         BoundingBox::new(Point3::new(-1.0, -1.0, -1.0), Point3::new(1.0, 1.0, 1.0))
@@ -120,7 +129,7 @@ mod tests {
         let g = TensorGrid::new(4, &unit_box());
         assert_eq!(g.nodes_per_dim(), 5);
         assert_eq!(g.len(), 125);
-        assert_eq!(g.points_flat().len(), 125);
+        assert_eq!(points(&g).len(), 125);
     }
 
     #[test]
@@ -136,7 +145,7 @@ mod tests {
     fn points_lie_in_box_and_hit_corners() {
         let bbox = BoundingBox::new(Point3::new(0.0, -2.0, 1.0), Point3::new(1.0, 3.0, 4.0));
         let g = TensorGrid::new(6, &bbox);
-        for p in g.points_flat() {
+        for p in points(&g) {
             assert!(bbox.contains(&p), "{p:?} outside {bbox:?}");
         }
         // (k=0,0,0) is the (max,max,max) corner; (n,n,n) the min corner —
@@ -159,7 +168,7 @@ mod tests {
     fn degenerate_axis_collapses() {
         let bbox = BoundingBox::new(Point3::new(0.0, 0.0, 5.0), Point3::new(1.0, 1.0, 5.0));
         let g = TensorGrid::new(3, &bbox);
-        for p in g.points_flat() {
+        for p in points(&g) {
             assert_eq!(p.z, 5.0);
         }
     }
@@ -167,7 +176,7 @@ mod tests {
     #[test]
     fn linear_order_matches_nested_loops() {
         let g = TensorGrid::new(2, &unit_box());
-        let pts = g.points_flat();
+        let pts = points(&g);
         let mut idx = 0;
         for k1 in 0..3 {
             for k2 in 0..3 {
@@ -178,5 +187,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn proxy_columns_append() {
+        let g = TensorGrid::new(1, &unit_box());
+        let mut cols: [Vec<f64>; 3] = Default::default();
+        g.extend_proxy_columns(&mut cols);
+        g.extend_proxy_columns(&mut cols);
+        assert!(cols.iter().all(|c| c.len() == 2 * g.len()));
+        assert_eq!(cols[0][..g.len()], cols[0][g.len()..]);
     }
 }

@@ -24,6 +24,20 @@
 //! far cheaper on GPU special-function units than in `libm`, which is
 //! exactly why the paper observes Yukawa/Coulomb run-time ratios of ≈1.8×
 //! on CPU but only ≈1.5× on GPU; the per-device numbers below encode that.
+//!
+//! ## Block evaluation
+//!
+//! Engines never loop over pairs themselves: they hand a whole batch ×
+//! cluster block to [`Kernel::p2p_potential`] or
+//! [`GradientKernel::p2p_field`]. The provided bodies are the shared
+//! [`crate::p2p`] loop, monomorphized for each implementor, so a call
+//! through `&dyn Kernel` costs one dynamic dispatch per block and the
+//! per-pair `eval` inlines. Kernels keep the provided bodies; wrappers
+//! that delegate `eval` to a kernel behind a reference forward the block
+//! methods too (see the `&K` impls below), or they would fall back to
+//! one dynamic call per pair.
+
+use crate::p2p::{self, FieldOut, Sources, Targets};
 
 /// A pairwise interaction kernel evaluated on the displacement `x - y`.
 pub trait Kernel: Sync + Send {
@@ -48,6 +62,12 @@ pub trait Kernel: Sync + Send {
 
     /// Flop-equivalents per evaluation on a GPU (special-function units).
     fn flops_per_eval_gpu(&self) -> f64;
+
+    /// Accumulate `out[i] += Σ_j G(t_i, s_j) q_j` over one batch ×
+    /// cluster block (see [`crate::p2p::potential`]).
+    fn p2p_potential(&self, targets: Targets<'_>, sources: Sources<'_>, out: &mut [f64]) {
+        p2p::potential(self, targets, sources, out)
+    }
 }
 
 /// A kernel with an analytic gradient — what force computations need
@@ -73,6 +93,61 @@ pub trait GradientKernel: Kernel {
     /// argument as [`GradientKernel::grad_flops_per_eval_gpu`]).
     fn grad_flops_per_eval_cpu(&self) -> f64 {
         self.flops_per_eval_cpu() * 4.0
+    }
+
+    /// Accumulate potentials and target gradients over one batch ×
+    /// cluster block (see [`crate::p2p::field`]).
+    fn p2p_field(&self, targets: Targets<'_>, sources: Sources<'_>, out: FieldOut<'_>) {
+        p2p::field(self, targets, sources, out)
+    }
+}
+
+/// A reference to a kernel is a kernel; every method forwards, the block
+/// methods included, so `&dyn Kernel` behind a generic `&K` still
+/// dispatches once per block.
+impl<K: Kernel + ?Sized> Kernel for &K {
+    #[inline]
+    fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
+        (**self).eval(dx, dy, dz)
+    }
+
+    fn eval_f32(&self, dx: f32, dy: f32, dz: f32) -> f32 {
+        (**self).eval_f32(dx, dy, dz)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn flops_per_eval_cpu(&self) -> f64 {
+        (**self).flops_per_eval_cpu()
+    }
+
+    fn flops_per_eval_gpu(&self) -> f64 {
+        (**self).flops_per_eval_gpu()
+    }
+
+    fn p2p_potential(&self, targets: Targets<'_>, sources: Sources<'_>, out: &mut [f64]) {
+        (**self).p2p_potential(targets, sources, out)
+    }
+}
+
+impl<K: GradientKernel + ?Sized> GradientKernel for &K {
+    #[inline]
+    fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64) {
+        (**self).eval_with_grad(dx, dy, dz)
+    }
+
+    fn grad_flops_per_eval_gpu(&self) -> f64 {
+        (**self).grad_flops_per_eval_gpu()
+    }
+
+    fn grad_flops_per_eval_cpu(&self) -> f64 {
+        (**self).grad_flops_per_eval_cpu()
+    }
+
+    fn p2p_field(&self, targets: Targets<'_>, sources: Sources<'_>, out: FieldOut<'_>) {
+        (**self).p2p_field(targets, sources, out)
     }
 }
 
@@ -133,6 +208,11 @@ impl GradientKernel for Gaussian {
 /// flop estimate reflects; the price is an error floor near the `f32`
 /// rounding level (~1e-7 relative), visible in the
 /// `ablation_precision` harness.
+///
+/// The wrapper keeps the provided [`Kernel::p2p_potential`]: it is
+/// monomorphized over `MixedPrecision<K>`, so the block loop inlines the
+/// `f32` evaluation. Forwarding to `K`'s block method would evaluate in
+/// `f64` instead.
 #[derive(Debug, Clone, Copy)]
 pub struct MixedPrecision<K: Kernel>(pub K);
 

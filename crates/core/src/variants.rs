@@ -24,6 +24,7 @@ use crate::engine::{eval_batch_into, PreparedTreecode};
 use crate::interp::barycentric::lagrange_values;
 use crate::interp::tensor::TensorGrid;
 use crate::kernel::Kernel;
+use crate::p2p::{Sources, Targets};
 use crate::traversal::BatchLists;
 
 /// Which interpolation scheme evaluates the well-separated pairs.
@@ -74,40 +75,24 @@ impl PreparedTreecode {
 
             // Modified potentials at the batch's Chebyshev points.
             let bgrid = TensorGrid::new(self.params.degree, &b.bbox);
+            let mut bproxies = Default::default();
+            bgrid.extend_proxy_columns(&mut bproxies);
+            let [px, py, pz] = &bproxies;
+            let proxies = Targets::new(px, py, pz);
             let mut phi = vec![0.0; m3];
             for &ci in &bl.approx {
                 let ci = ci as usize;
-                match variant {
+                let sources = match variant {
+                    // Batch proxies × raw cluster sources.
                     TreecodeVariant::ClusterParticle => {
-                        // Batch proxies × raw cluster sources.
                         let node = self.tree.node(ci);
-                        for (k, slot) in phi.iter_mut().enumerate() {
-                            let t = bgrid.point_linear(k);
-                            let mut acc = 0.0;
-                            for j in node.start..node.end {
-                                acc += kernel.eval(t.x - sp.x[j], t.y - sp.y[j], t.z - sp.z[j])
-                                    * sp.q[j];
-                            }
-                            *slot += acc;
-                        }
+                        Sources::of(sp, node.start..node.end)
                     }
-                    TreecodeVariant::ClusterCluster => {
-                        // Batch proxies × source proxies (modified charges).
-                        let sgrid = self.charges.grid(ci);
-                        let qhat = self.charges.charges(ci);
-                        assert!(!qhat.is_empty(), "charges missing for cluster {ci}");
-                        for (k, slot) in phi.iter_mut().enumerate() {
-                            let t = bgrid.point_linear(k);
-                            let mut acc = 0.0;
-                            for (kk, &qh) in qhat.iter().enumerate() {
-                                let s = sgrid.point_linear(kk);
-                                acc += kernel.eval(t.x - s.x, t.y - s.y, t.z - s.z) * qh;
-                            }
-                            *slot += acc;
-                        }
-                    }
+                    // Batch proxies × source proxies (modified charges).
+                    TreecodeVariant::ClusterCluster => self.charges.proxy_sources(ci),
                     TreecodeVariant::ParticleCluster => unreachable!(),
-                }
+                };
+                kernel.p2p_potential(proxies, sources, &mut phi);
             }
 
             // Interpolate the accumulated far-field back to the targets:

@@ -17,15 +17,14 @@
 //! **land** ([`land_remote_let`]) executes the chunks' gets — in the
 //! same per-cluster order the monolithic fill used, so staging changes
 //! neither the fetched bytes nor the recorded traffic. The **consume**
-//! stage is the unchanged evaluation ([`eval_remote_into`] /
-//! [`eval_remote_field_into`]).
+//! stage is the evaluation ([`eval_remote_into`]).
 //!
 //! Two consumption modes share those stages:
 //!
-//! - **Retain** ([`land_remote_let`] then `eval_remote_*`): land every
+//! - **Retain** ([`land_remote_let`] then [`eval_remote_into`]): land every
 //!   chunk into one [`RemoteLet`], evaluate afterwards. Peak resident
 //!   remote payload = the whole LET.
-//! - **Stream** ([`stream_remote_let`] / [`stream_remote_let_field`]):
+//! - **Stream** ([`stream_remote_let`]):
 //!   land one chunk, evaluate just that chunk's clusters into persistent
 //!   per-batch partials, drop the payload, land the next. Peak resident
 //!   remote payload = the largest single chunk, which [`plan_chunks`]
@@ -33,8 +32,8 @@
 //!   lets a rank's LET far exceed its staging memory.
 //!
 //! Both modes execute identical gets in identical order through
-//! [`land_chunk`] and identical per-cluster scalar math through shared
-//! helpers, so potentials, forces, op counts, and recorded traffic are
+//! [`land_chunk`] and identical per-cluster math through the shared P2P
+//! block (`bltc_core::p2p`), so potentials, forces, op counts, and recorded traffic are
 //! bitwise independent of the mode and of the budget.
 
 use std::collections::BTreeMap;
@@ -45,9 +44,8 @@ use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
 use bltc_core::geometry::{BoundingBox, Point3};
 use bltc_core::interp::tensor::TensorGrid;
-use bltc_core::kernel::{GradientKernel, Kernel};
 use bltc_core::mac::{Mac, MacDecision};
-use bltc_core::particles::ParticleSet;
+use bltc_core::p2p::{BlockKernel, Sources, Targets};
 use bltc_core::tree::{batch::TargetBatches, ClusterNode};
 use mpi_sim::Window;
 
@@ -121,12 +119,24 @@ impl CommTally {
     }
 }
 
-/// Raw particles fetched for one remote direct-interaction cluster.
-pub(crate) struct RemoteParticles {
+/// One landed remote cluster as P2P source columns: the fetched raw
+/// particles of a direct cluster, or the proxy coordinates and fetched
+/// modified charges of a MAC-accepted one.
+pub(crate) struct RemoteCluster {
     x: Vec<f64>,
     y: Vec<f64>,
     z: Vec<f64>,
     q: Vec<f64>,
+}
+
+impl RemoteCluster {
+    fn sources(&self) -> Sources<'_> {
+        Sources::new(&self.x, &self.y, &self.z, &self.q)
+    }
+
+    fn len(&self) -> usize {
+        self.q.len()
+    }
 }
 
 /// The locally essential view of one remote rank's tree.
@@ -136,19 +146,18 @@ pub(crate) struct RemoteLet {
     /// Per-local-batch interaction lists against the remote tree
     /// (approx node ids, direct node ids), in batch order.
     pub per_batch: Vec<(Vec<u32>, Vec<u32>)>,
-    /// Fetched modified charges of MAC-accepted clusters.
-    pub qhat: BTreeMap<u32, Vec<f64>>,
-    /// Proxy grids of MAC-accepted clusters (derived locally from the
-    /// skeleton geometry — grids travel for free).
-    pub grids: BTreeMap<u32, TensorGrid>,
+    /// MAC-accepted clusters: fetched modified charges with their proxy
+    /// coordinates (derived locally from the skeleton geometry — proxies
+    /// travel for free).
+    pub proxies: BTreeMap<u32, RemoteCluster>,
     /// Fetched particles of direct clusters.
-    pub parts: BTreeMap<u32, RemoteParticles>,
+    pub parts: BTreeMap<u32, RemoteCluster>,
 }
 
 impl RemoteLet {
     /// Total particles fetched from this remote rank.
     pub fn fetched_particles(&self) -> u64 {
-        self.parts.values().map(|p| p.x.len() as u64).sum()
+        self.parts.values().map(|p| p.len() as u64).sum()
     }
 }
 
@@ -432,21 +441,21 @@ fn land_chunk(
     m3: usize,
     params: &BltcParams,
     tally: &mut CommTally,
-    qhat: &mut BTreeMap<u32, Vec<f64>>,
-    grids: &mut BTreeMap<u32, TensorGrid>,
-    parts: &mut BTreeMap<u32, RemoteParticles>,
+    proxies: &mut BTreeMap<u32, RemoteCluster>,
+    parts: &mut BTreeMap<u32, RemoteCluster>,
 ) {
     match plan.kind {
         ChunkKind::Approx => {
             let guard = qhat_win.lock_shared(issue.target);
             for &ni in &issue.approx[plan.first..plan.first + plan.len] {
                 let base = ni as usize * m3;
-                qhat.insert(ni, guard.get(base..base + m3));
+                let q = guard.get(base..base + m3);
                 tally.record((m3 * 8) as u64, true);
-                grids.insert(
-                    ni,
-                    TensorGrid::new(params.degree, &issue.nodes[ni as usize].bbox),
-                );
+                let mut cols = Default::default();
+                TensorGrid::new(params.degree, &issue.nodes[ni as usize].bbox)
+                    .extend_proxy_columns(&mut cols);
+                let [x, y, z] = cols;
+                proxies.insert(ni, RemoteCluster { x, y, z, q });
             }
         }
         ChunkKind::Direct => {
@@ -456,7 +465,7 @@ fn land_chunk(
                 let flat = guard.get(4 * node.start..4 * node.end);
                 tally.record((flat.len() * 8) as u64, true);
                 let nc = node.end - node.start;
-                let mut p = RemoteParticles {
+                let mut p = RemoteCluster {
                     x: Vec::with_capacity(nc),
                     y: Vec::with_capacity(nc),
                     z: Vec::with_capacity(nc),
@@ -489,135 +498,48 @@ pub(crate) fn land_remote_let(
     params: &BltcParams,
     tally: &mut CommTally,
 ) -> RemoteLet {
-    let mut qhat = BTreeMap::new();
-    let mut grids = BTreeMap::new();
+    let mut proxies = BTreeMap::new();
     let mut parts = BTreeMap::new();
     for plan in plans {
         land_chunk(
-            &issue, plan, part_win, qhat_win, m3, params, tally, &mut qhat, &mut grids, &mut parts,
+            &issue,
+            plan,
+            part_win,
+            qhat_win,
+            m3,
+            params,
+            tally,
+            &mut proxies,
+            &mut parts,
         );
     }
 
     RemoteLet {
         nodes: issue.nodes,
         per_batch: issue.per_batch,
-        qhat,
-        grids,
+        proxies,
         parts,
     }
 }
 
-/// One MAC-accepted cluster's contribution (Eq. 11) to a contiguous
-/// target range, accumulated into `vals` (one slot per target). The
-/// single implementation shared by the retained and streaming
-/// evaluation paths — their bitwise identity rests on this.
-fn approx_cluster_pot(
-    tp: &ParticleSet,
-    start: usize,
-    end: usize,
-    grid: &TensorGrid,
-    qh: &[f64],
-    kernel: &dyn Kernel,
-    vals: &mut [f64],
-) {
-    for (t, slot) in (start..end).zip(vals.iter_mut()) {
-        let (tx, ty, tz) = (tp.x[t], tp.y[t], tp.z[t]);
-        let mut acc = 0.0;
-        for (k, &q) in qh.iter().enumerate() {
-            let s = grid.point_linear(k);
-            acc += kernel.eval(tx - s.x, ty - s.y, tz - s.z) * q;
-        }
-        *slot += acc;
-    }
-}
-
-/// One direct cluster's contribution (Eq. 9) to a contiguous target
-/// range — the direct-summation counterpart of [`approx_cluster_pot`].
-fn direct_cluster_pot(
-    tp: &ParticleSet,
-    start: usize,
-    end: usize,
-    p: &RemoteParticles,
-    kernel: &dyn Kernel,
-    vals: &mut [f64],
-) {
-    for (t, slot) in (start..end).zip(vals.iter_mut()) {
-        let (tx, ty, tz) = (tp.x[t], tp.y[t], tp.z[t]);
-        let mut acc = 0.0;
-        for j in 0..p.x.len() {
-            acc += kernel.eval(tx - p.x[j], ty - p.y[j], tz - p.z[j]) * p.q[j];
-        }
-        *slot += acc;
-    }
-}
-
-/// Field counterpart of [`approx_cluster_pot`]: potential plus gradient
-/// into four accumulator columns `[pot, gx, gy, gz]`.
-fn approx_cluster_field(
-    tp: &ParticleSet,
-    start: usize,
-    end: usize,
-    grid: &TensorGrid,
-    qh: &[f64],
-    kernel: &dyn GradientKernel,
-    vals: &mut [Vec<f64>; 4],
-) {
-    for (i, t) in (start..end).enumerate() {
-        let (tx, ty, tz) = (tp.x[t], tp.y[t], tp.z[t]);
-        let (mut p, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
-        for (k, &q) in qh.iter().enumerate() {
-            let s = grid.point_linear(k);
-            let (g, dgx, dgy, dgz) = kernel.eval_with_grad(tx - s.x, ty - s.y, tz - s.z);
-            p += g * q;
-            ax += dgx * q;
-            ay += dgy * q;
-            az += dgz * q;
-        }
-        vals[0][i] += p;
-        vals[1][i] += ax;
-        vals[2][i] += ay;
-        vals[3][i] += az;
-    }
-}
-
-/// Field counterpart of [`direct_cluster_pot`].
-fn direct_cluster_field(
-    tp: &ParticleSet,
-    start: usize,
-    end: usize,
-    p: &RemoteParticles,
-    kernel: &dyn GradientKernel,
-    vals: &mut [Vec<f64>; 4],
-) {
-    for (i, t) in (start..end).enumerate() {
-        let (tx, ty, tz) = (tp.x[t], tp.y[t], tp.z[t]);
-        let (mut acc, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
-        for j in 0..p.x.len() {
-            let (g, dgx, dgy, dgz) = kernel.eval_with_grad(tx - p.x[j], ty - p.y[j], tz - p.z[j]);
-            acc += g * p.q[j];
-            ax += dgx * p.q[j];
-            ay += dgy * p.q[j];
-            az += dgz * p.q[j];
-        }
-        vals[0][i] += acc;
-        vals[1][i] += ax;
-        vals[2][i] += ay;
-        vals[3][i] += az;
-    }
-}
-
-/// Evaluate this LET's contribution to the rank's potentials.
+/// Evaluate this LET's contribution to the rank's potentials — or, for
+/// a [`BlockKernel::Field`], potentials **and gradients**.
 ///
-/// `out` is indexed in reordered (batch) target order. The scalar math
-/// mirrors `bltc_core::engine::eval_batch_into` — approximation via
-/// Eq. 11 against the fetched modified charges, direct summation via
-/// Eq. 9 against the fetched particles. `device_bytes` accumulates the
-/// modeled per-launch memory traffic for the GPU clock.
+/// `out` holds `kernel.columns()` columns indexed in reordered (batch)
+/// target order. Every cluster is one P2P block, exactly as in
+/// `bltc_core::engine::eval_batch_into`: approximation via Eq. 11
+/// against the fetched modified charges, direct summation via Eq. 9
+/// against the fetched particles. No RMA happens here — the LET was
+/// fully fetched during setup, so gradient evaluation adds **zero**
+/// communication (an invariant the test suite asserts against the
+/// runtime's traffic matrix). `device_bytes` accumulates the modeled
+/// per-launch memory traffic for the GPU clock: three target coordinate
+/// arrays plus one array per output column.
 pub(crate) fn eval_remote_into(
     let_view: &RemoteLet,
     batches: &TargetBatches,
-    kernel: &dyn Kernel,
-    out: &mut [f64],
+    kernel: BlockKernel<'_>,
+    out: &mut [Vec<f64>],
     ops: &mut OpCounts,
     device_bytes: &mut f64,
 ) {
@@ -625,112 +547,61 @@ pub(crate) fn eval_remote_into(
     // One pool task per batch: each computes this LET's contribution to
     // its own (disjoint) target range plus its op/byte tallies, starting
     // from zero. The merge below runs in fixed batch order, so both the
-    // potentials and the modeled clocks are bitwise independent of the
+    // results and the modeled clocks are bitwise independent of the
     // pool size (the byte tallies are integer-valued f64s — exact under
     // any summation order — and the op counts are integers).
-    let partial: Vec<(Vec<f64>, OpCounts, f64)> = batches
+    let partial: Vec<(Vec<Vec<f64>>, OpCounts, f64)> = batches
         .batches()
         .par_iter()
         .zip(&let_view.per_batch)
         .map(|(b, (approx, direct))| {
             let nb = b.num_targets();
-            let mut vals = vec![0.0; nb];
+            let t = Targets::of(tp, b.start..b.end);
+            let mut vals = kernel.zeros(nb);
             let mut bops = OpCounts::default();
             let mut bbytes = 0.0;
-            for &ci in approx {
-                let grid = &let_view.grids[&ci];
-                let qh = &let_view.qhat[&ci];
-                approx_cluster_pot(tp, b.start, b.end, grid, qh, kernel, &mut vals);
-                bops.approx_interactions += (nb * qh.len()) as u64;
-                bops.kernel_launches += 1;
-                bbytes += ((nb * 4 + qh.len() * 4) * 8) as f64;
-            }
-            for &ci in direct {
-                let p = &let_view.parts[&ci];
-                direct_cluster_pot(tp, b.start, b.end, p, kernel, &mut vals);
-                bops.direct_interactions += (nb * p.x.len()) as u64;
-                bops.kernel_launches += 1;
-                bbytes += ((nb * 4 + p.x.len() * 4) * 8) as f64;
+            let approx = approx.iter().map(|ci| (&let_view.proxies[ci], true));
+            let direct = direct.iter().map(|ci| (&let_view.parts[ci], false));
+            for (c, is_approx) in approx.chain(direct) {
+                kernel.accumulate(t, c.sources(), &mut vals);
+                tally_block(&mut bops, &mut bbytes, kernel, nb, c.len(), is_approx);
             }
             (vals, bops, bbytes)
         })
         .collect();
     for (b, (vals, bops, bbytes)) in batches.batches().iter().zip(&partial) {
-        for (slot, v) in out[b.start..b.end].iter_mut().zip(vals) {
-            *slot += v;
-        }
+        merge_batch(out, b.start, vals);
         *ops = ops.merged(bops);
         *device_bytes += bbytes;
     }
 }
 
-/// Evaluate this LET's contribution to the rank's potentials **and
-/// gradients** — the field counterpart of [`eval_remote_into`].
-///
-/// The four output slices are indexed in reordered (batch) target order.
-/// The scalar math mirrors `bltc_core::field::eval_field_batch_into`
-/// applied to the fetched remote data; no RMA happens here — the LET was
-/// fully fetched during setup, so gradient evaluation adds **zero**
-/// communication (an invariant the test suite asserts against the
-/// runtime's traffic matrix). `device_bytes` accumulates per-launch
-/// memory traffic with four output arrays per target instead of one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_remote_field_into(
-    let_view: &RemoteLet,
-    batches: &TargetBatches,
-    kernel: &dyn GradientKernel,
-    pot: &mut [f64],
-    gx: &mut [f64],
-    gy: &mut [f64],
-    gz: &mut [f64],
+/// Count one batch × cluster block: its evaluations on the right path,
+/// one launch, and its modeled device bytes.
+fn tally_block(
     ops: &mut OpCounts,
-    device_bytes: &mut f64,
+    bytes: &mut f64,
+    kernel: BlockKernel<'_>,
+    nb: usize,
+    nc: usize,
+    is_approx: bool,
 ) {
-    let tp = batches.particles();
-    // Same parallel shape as [`eval_remote_into`]: per-batch partials
-    // over disjoint target ranges, merged in fixed batch order.
-    type FieldPartial = ([Vec<f64>; 4], OpCounts, f64);
-    let partial: Vec<FieldPartial> = batches
-        .batches()
-        .par_iter()
-        .zip(&let_view.per_batch)
-        .map(|(b, (approx, direct))| {
-            let nb = b.num_targets();
-            let mut vals = [vec![0.0; nb], vec![0.0; nb], vec![0.0; nb], vec![0.0; nb]];
-            let mut bops = OpCounts::default();
-            let mut bbytes = 0.0;
-            for &ci in approx {
-                let grid = &let_view.grids[&ci];
-                let qh = &let_view.qhat[&ci];
-                approx_cluster_field(tp, b.start, b.end, grid, qh, kernel, &mut vals);
-                bops.approx_interactions += (nb * qh.len()) as u64;
-                bops.kernel_launches += 1;
-                bbytes += ((nb * 7 + qh.len() * 4) * 8) as f64;
-            }
-            for &ci in direct {
-                let p = &let_view.parts[&ci];
-                direct_cluster_field(tp, b.start, b.end, p, kernel, &mut vals);
-                bops.direct_interactions += (nb * p.x.len()) as u64;
-                bops.kernel_launches += 1;
-                bbytes += ((nb * 7 + p.x.len() * 4) * 8) as f64;
-            }
-            (vals, bops, bbytes)
-        })
-        .collect();
-    for (b, (vals, bops, bbytes)) in batches.batches().iter().zip(&partial) {
-        let r = b.start..b.end;
-        for (dst, src) in [
-            (&mut pot[r.clone()], &vals[0]),
-            (&mut gx[r.clone()], &vals[1]),
-            (&mut gy[r.clone()], &vals[2]),
-            (&mut gz[r], &vals[3]),
-        ] {
-            for (slot, v) in dst.iter_mut().zip(src.iter()) {
-                *slot += v;
-            }
+    if is_approx {
+        ops.approx_interactions += (nb * nc) as u64;
+    } else {
+        ops.direct_interactions += (nb * nc) as u64;
+    }
+    ops.kernel_launches += 1;
+    *bytes += ((nb * (3 + kernel.columns()) + nc * 4) * 8) as f64;
+}
+
+/// Add one batch's partial columns into the rank's output columns at
+/// the batch's target offset.
+fn merge_batch(out: &mut [Vec<f64>], start: usize, vals: &[Vec<f64>]) {
+    for (dst, src) in out.iter_mut().zip(vals) {
+        for (slot, v) in dst[start..start + src.len()].iter_mut().zip(src) {
+            *slot += v;
         }
-        *ops = ops.merged(bops);
-        *device_bytes += bbytes;
     }
 }
 
@@ -767,35 +638,44 @@ pub(crate) fn stream_remote_let(
     m3: usize,
     params: &BltcParams,
     tally: &mut CommTally,
-    kernel: &dyn Kernel,
-    out: &mut [f64],
+    kernel: BlockKernel<'_>,
+    out: &mut [Vec<f64>],
     ops: &mut OpCounts,
     device_bytes: &mut f64,
 ) -> u64 {
     let tp = batches.particles();
-    let mut vals: Vec<Vec<f64>> = batches
+    let mut vals: Vec<Vec<Vec<f64>>> = batches
         .batches()
         .iter()
-        .map(|b| vec![0.0; b.num_targets()])
+        .map(|b| kernel.zeros(b.num_targets()))
         .collect();
     let mut lops = OpCounts::default();
     let mut lbytes = 0.0;
     let mut peak = 0u64;
 
-    let mut qhat = BTreeMap::new();
-    let mut grids = BTreeMap::new();
+    let mut proxies = BTreeMap::new();
     let mut parts = BTreeMap::new();
     for plan in plans {
         land_chunk(
-            issue, plan, part_win, qhat_win, m3, params, tally, &mut qhat, &mut grids, &mut parts,
+            issue,
+            plan,
+            part_win,
+            qhat_win,
+            m3,
+            params,
+            tally,
+            &mut proxies,
+            &mut parts,
         );
         peak = peak.max(plan.bytes);
         if plan.len == 0 {
             continue;
         }
-        let ids = match plan.kind {
-            ChunkKind::Approx => &issue.approx,
-            ChunkKind::Direct => &issue.direct,
+        let is_approx = plan.kind == ChunkKind::Approx;
+        let (ids, landed) = if is_approx {
+            (&issue.approx, &proxies)
+        } else {
+            (&issue.direct, &parts)
         };
         let (lo, hi) = (ids[plan.first], ids[plan.first + plan.len - 1]);
         for ((b, (approx, direct)), v) in batches
@@ -805,153 +685,25 @@ pub(crate) fn stream_remote_let(
             .zip(vals.iter_mut())
         {
             let nb = b.num_targets();
-            let list = match plan.kind {
-                ChunkKind::Approx => approx,
-                ChunkKind::Direct => direct,
-            };
+            let list = if is_approx { approx } else { direct };
             // The batch list is sorted ascending, so the clusters this
             // chunk holds form one contiguous run.
             let s = list.partition_point(|&c| c < lo);
             let e = list.partition_point(|&c| c <= hi);
-            for &ci in &list[s..e] {
-                match plan.kind {
-                    ChunkKind::Approx => {
-                        let grid = &grids[&ci];
-                        let qh = &qhat[&ci];
-                        approx_cluster_pot(tp, b.start, b.end, grid, qh, kernel, v);
-                        lops.approx_interactions += (nb * qh.len()) as u64;
-                        lops.kernel_launches += 1;
-                        lbytes += ((nb * 4 + qh.len() * 4) * 8) as f64;
-                    }
-                    ChunkKind::Direct => {
-                        let p = &parts[&ci];
-                        direct_cluster_pot(tp, b.start, b.end, p, kernel, v);
-                        lops.direct_interactions += (nb * p.x.len()) as u64;
-                        lops.kernel_launches += 1;
-                        lbytes += ((nb * 4 + p.x.len() * 4) * 8) as f64;
-                    }
-                }
+            for ci in &list[s..e] {
+                let c = &landed[ci];
+                kernel.accumulate(Targets::of(tp, b.start..b.end), c.sources(), v);
+                tally_block(&mut lops, &mut lbytes, kernel, nb, c.len(), is_approx);
             }
         }
         // Evaluate-and-discard: the payload dies here, before the next
         // chunk lands.
-        qhat.clear();
-        grids.clear();
+        proxies.clear();
         parts.clear();
     }
 
     for (b, v) in batches.batches().iter().zip(&vals) {
-        for (slot, val) in out[b.start..b.end].iter_mut().zip(v) {
-            *slot += val;
-        }
-    }
-    *ops = ops.merged(&lops);
-    *device_bytes += lbytes;
-    peak
-}
-
-/// Field counterpart of [`stream_remote_let`]: memory-bounded
-/// evaluate-and-discard of one LET's potential **and gradient**
-/// contributions. Same structure, four accumulator columns per batch,
-/// merged in the retained path's `[pot, gx, gy, gz]` per-batch order.
-/// Returns the peak resident payload bytes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stream_remote_let_field(
-    issue: &LetIssue,
-    plans: &[ChunkPlan],
-    batches: &TargetBatches,
-    part_win: &Window<f64>,
-    qhat_win: &Window<f64>,
-    m3: usize,
-    params: &BltcParams,
-    tally: &mut CommTally,
-    kernel: &dyn GradientKernel,
-    pot: &mut [f64],
-    gx: &mut [f64],
-    gy: &mut [f64],
-    gz: &mut [f64],
-    ops: &mut OpCounts,
-    device_bytes: &mut f64,
-) -> u64 {
-    let tp = batches.particles();
-    let mut vals: Vec<[Vec<f64>; 4]> = batches
-        .batches()
-        .iter()
-        .map(|b| {
-            let nb = b.num_targets();
-            [vec![0.0; nb], vec![0.0; nb], vec![0.0; nb], vec![0.0; nb]]
-        })
-        .collect();
-    let mut lops = OpCounts::default();
-    let mut lbytes = 0.0;
-    let mut peak = 0u64;
-
-    let mut qhat = BTreeMap::new();
-    let mut grids = BTreeMap::new();
-    let mut parts = BTreeMap::new();
-    for plan in plans {
-        land_chunk(
-            issue, plan, part_win, qhat_win, m3, params, tally, &mut qhat, &mut grids, &mut parts,
-        );
-        peak = peak.max(plan.bytes);
-        if plan.len == 0 {
-            continue;
-        }
-        let ids = match plan.kind {
-            ChunkKind::Approx => &issue.approx,
-            ChunkKind::Direct => &issue.direct,
-        };
-        let (lo, hi) = (ids[plan.first], ids[plan.first + plan.len - 1]);
-        for ((b, (approx, direct)), v) in batches
-            .batches()
-            .iter()
-            .zip(&issue.per_batch)
-            .zip(vals.iter_mut())
-        {
-            let nb = b.num_targets();
-            let list = match plan.kind {
-                ChunkKind::Approx => approx,
-                ChunkKind::Direct => direct,
-            };
-            let s = list.partition_point(|&c| c < lo);
-            let e = list.partition_point(|&c| c <= hi);
-            for &ci in &list[s..e] {
-                match plan.kind {
-                    ChunkKind::Approx => {
-                        let grid = &grids[&ci];
-                        let qh = &qhat[&ci];
-                        approx_cluster_field(tp, b.start, b.end, grid, qh, kernel, v);
-                        lops.approx_interactions += (nb * qh.len()) as u64;
-                        lops.kernel_launches += 1;
-                        lbytes += ((nb * 7 + qh.len() * 4) * 8) as f64;
-                    }
-                    ChunkKind::Direct => {
-                        let p = &parts[&ci];
-                        direct_cluster_field(tp, b.start, b.end, p, kernel, v);
-                        lops.direct_interactions += (nb * p.x.len()) as u64;
-                        lops.kernel_launches += 1;
-                        lbytes += ((nb * 7 + p.x.len() * 4) * 8) as f64;
-                    }
-                }
-            }
-        }
-        qhat.clear();
-        grids.clear();
-        parts.clear();
-    }
-
-    for (b, v) in batches.batches().iter().zip(&vals) {
-        let r = b.start..b.end;
-        for (dst, src) in [
-            (&mut pot[r.clone()], &v[0]),
-            (&mut gx[r.clone()], &v[1]),
-            (&mut gy[r.clone()], &v[2]),
-            (&mut gz[r], &v[3]),
-        ] {
-            for (slot, val) in dst.iter_mut().zip(src.iter()) {
-                *slot += val;
-            }
-        }
+        merge_batch(out, b.start, v);
     }
     *ops = ops.merged(&lops);
     *device_bytes += lbytes;
@@ -961,6 +713,7 @@ pub(crate) fn stream_remote_let_field(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bltc_core::particles::ParticleSet;
 
     fn tiny_batches() -> TargetBatches {
         let ps = ParticleSet::random_cube(64, 7);

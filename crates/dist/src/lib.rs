@@ -150,6 +150,7 @@ use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
 use bltc_core::field::FieldResult;
 use bltc_core::kernel::{GradientKernel, Kernel};
+use bltc_core::p2p::BlockKernel;
 use bltc_core::particles::ParticleSet;
 use bltc_core::tree::{batch::TargetBatches, SourceTree};
 use bltc_gpu::{GpuEngine, GpuSimBreakdown};
@@ -159,8 +160,8 @@ use mpi_sim::{run_spmd, Comm, NetworkSpec, Window};
 use rcb::{partition_particles, rcb_partition, rcb_partition_two_level, RcbPartition};
 
 use letree::{
-    eval_remote_field_into, eval_remote_into, issue_remote_let, land_remote_let, plan_chunks,
-    stream_remote_let, stream_remote_let_field, CommTally, LetPlan, NodeMeta, RemoteLet,
+    eval_remote_into, issue_remote_let, land_remote_let, plan_chunks, stream_remote_let, CommTally,
+    LetPlan, NodeMeta, RemoteLet,
 };
 use model::{pipelined_clock, ChunkCost, LetFetchPlan};
 
@@ -466,48 +467,6 @@ impl DistFieldReport {
     }
 }
 
-/// Object-safe delegation so `run_distributed` accepts both concrete
-/// kernels (`&Coulomb`) and trait objects (`&dyn Kernel`).
-struct KernelRef<'a, K: Kernel + ?Sized>(&'a K);
-
-impl<K: Kernel + ?Sized> Kernel for KernelRef<'_, K> {
-    fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
-        self.0.eval(dx, dy, dz)
-    }
-
-    fn eval_f32(&self, dx: f32, dy: f32, dz: f32) -> f32 {
-        self.0.eval_f32(dx, dy, dz)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn flops_per_eval_cpu(&self) -> f64 {
-        self.0.flops_per_eval_cpu()
-    }
-
-    fn flops_per_eval_gpu(&self) -> f64 {
-        self.0.flops_per_eval_gpu()
-    }
-}
-
-/// Gradient-capable delegation: a [`KernelRef`] over a gradient kernel
-/// is itself a [`GradientKernel`].
-impl<K: GradientKernel + ?Sized> GradientKernel for KernelRef<'_, K> {
-    fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64) {
-        self.0.eval_with_grad(dx, dy, dz)
-    }
-
-    fn grad_flops_per_eval_gpu(&self) -> f64 {
-        self.0.grad_flops_per_eval_gpu()
-    }
-
-    fn grad_flops_per_eval_cpu(&self) -> f64 {
-        self.0.grad_flops_per_eval_cpu()
-    }
-}
-
 /// Everything one rank builds during the setup phase: local structures,
 /// the three exposed RMA windows (kept alive so remote ranks can keep
 /// fetching until the closing barrier), the assembled LETs, and the
@@ -534,23 +493,12 @@ struct RankSetup {
 
 /// Where the streaming setup accumulates remote contributions while it
 /// lands-evaluates-discards each chunk: the rank's batch-order partial
-/// buffers plus its remote op/byte tallies, potential or field flavor.
-enum RemoteAccum<'a> {
-    Potential {
-        kernel: &'a dyn Kernel,
-        out: &'a mut [f64],
-        ops: &'a mut OpCounts,
-        device_bytes: &'a mut f64,
-    },
-    Field {
-        kernel: &'a dyn GradientKernel,
-        pot: &'a mut [f64],
-        gx: &'a mut [f64],
-        gy: &'a mut [f64],
-        gz: &'a mut [f64],
-        ops: &'a mut OpCounts,
-        device_bytes: &'a mut f64,
-    },
+/// columns plus its remote op/byte tallies, potential or field flavor.
+struct RemoteAccum<'a> {
+    kernel: BlockKernel<'a>,
+    out: &'a mut [Vec<f64>],
+    ops: &'a mut OpCounts,
+    device_bytes: &'a mut f64,
 }
 
 /// Steps 2–3 of the pipeline (shared by the potential and field paths):
@@ -623,52 +571,20 @@ fn setup_rank(
             let_stats.remote_direct_nodes += issue.direct.len() as u64;
             let_stats.fetched_particles += chunks.iter().map(|c| c.fetched_particles).sum::<u64>();
             let_stats.fetched_proxy_charges += (issue.approx.len() * m3) as u64;
-            let peak = match accum {
-                RemoteAccum::Potential {
-                    kernel,
-                    out,
-                    ops,
-                    device_bytes,
-                } => stream_remote_let(
-                    &issue,
-                    &chunks,
-                    &batches,
-                    &part_win,
-                    &qhat_win,
-                    m3,
-                    params,
-                    &mut tally,
-                    *kernel,
-                    out,
-                    ops,
-                    device_bytes,
-                ),
-                RemoteAccum::Field {
-                    kernel,
-                    pot,
-                    gx,
-                    gy,
-                    gz,
-                    ops,
-                    device_bytes,
-                } => stream_remote_let_field(
-                    &issue,
-                    &chunks,
-                    &batches,
-                    &part_win,
-                    &qhat_win,
-                    m3,
-                    params,
-                    &mut tally,
-                    *kernel,
-                    pot,
-                    gx,
-                    gy,
-                    gz,
-                    ops,
-                    device_bytes,
-                ),
-            };
+            let peak = stream_remote_let(
+                &issue,
+                &chunks,
+                &batches,
+                &part_win,
+                &qhat_win,
+                m3,
+                params,
+                &mut tally,
+                accum.kernel,
+                accum.out,
+                accum.ops,
+                accum.device_bytes,
+            );
             peak_let_bytes = peak_let_bytes.max(peak);
         } else {
             lets.push(land_remote_let(
@@ -684,10 +600,10 @@ fn setup_rank(
     if stream.is_none() {
         for l in &lets {
             let_stats.remote_skeleton_nodes += l.nodes.len() as u64;
-            let_stats.remote_approx_nodes += l.qhat.len() as u64;
+            let_stats.remote_approx_nodes += l.proxies.len() as u64;
             let_stats.remote_direct_nodes += l.parts.len() as u64;
             let_stats.fetched_particles += l.fetched_particles();
-            let_stats.fetched_proxy_charges += (l.qhat.len() * m3) as u64;
+            let_stats.fetched_proxy_charges += (l.proxies.len() * m3) as u64;
         }
         // Every LET stays resident through evaluation: the peak is the
         // whole device-staged payload.
@@ -888,100 +804,10 @@ pub fn run_distributed<K: Kernel + ?Sized>(
     kernel: &K,
 ) -> DistReport {
     let (part, locals) = decompose(ps, ranks, cfg);
-    let kref = KernelRef(kernel);
-    let params = cfg.params;
-
     let out = run_spmd(ranks, |comm| {
-        let rank = comm.rank();
-        let local = &locals[rank];
-        let kernel: &dyn Kernel = &kref;
-
-        // ---- setup: local structures, windows, LETs -----------------
-        // Streaming mode evaluates remote chunks into `remote_pot`
-        // (batch order) during setup itself; retained mode fills it
-        // from the landed LETs below. Either way it holds the same
-        // per-LET, per-cluster accumulation by the time it is merged.
-        let mut remote_pot = vec![0.0; local.len()];
-        let mut remote_ops = OpCounts::default();
-        let mut device_bytes = 0.0;
-        let streaming = cfg.let_memory_budget.is_some();
-        let setup = setup_rank(
-            &comm,
-            local,
-            cfg,
-            streaming.then_some(RemoteAccum::Potential {
-                kernel,
-                out: &mut remote_pot,
-                ops: &mut remote_ops,
-                device_bytes: &mut device_bytes,
-            }),
-        );
-
-        // ---- local evaluation on the simulated GPU ------------------
-        let gpu = GpuEngine::with_spec(params, cfg.spec)
-            .with_streams(cfg.streams)
-            .compute_detailed(local, local, kernel);
-
-        // ---- remote (LET) contributions -----------------------------
-        let mut potentials = gpu.result.potentials;
-        for l in &setup.lets {
-            eval_remote_into(
-                l,
-                &setup.batches,
-                kernel,
-                &mut remote_pot,
-                &mut remote_ops,
-                &mut device_bytes,
-            );
-        }
-        if comm.size() > 1 {
-            for (p, r) in potentials
-                .iter_mut()
-                .zip(setup.batches.scatter_to_original(&remote_pot))
-            {
-                *p += r;
-            }
-        }
-        let ops = gpu.result.ops.merged(&remote_ops);
-
-        // ---- modeled clocks -----------------------------------------
-        let levels = gpu.result.tree_stats.max_level + 1;
-        let clocks = model_rank_clocks(
-            cfg,
-            rank,
-            &gpu.sim,
-            local.len(),
-            levels,
-            &ops,
-            &setup.let_stats,
-            &setup.tally,
-            &setup.plans,
-            remote_ops.compute_flops(kernel, true),
-            device_bytes,
-            remote_ops.kernel_launches,
-        );
-        let fetch_plans = chunk_fetch_plans(&setup, kernel.flops_per_eval_gpu(), 4);
-        debug_assert_plans_reconcile(&setup, &fetch_plans, &remote_ops, device_bytes);
-        let pipeline = pipelined_clock(
-            cfg,
-            rank,
-            &gpu.sim,
-            local.len(),
-            levels,
-            gpu.result.ops.kernel_launches,
-            &fetch_plans,
-            clocks.total(),
-        );
-
-        if comm.tracing_enabled() {
-            comm.trace_spans(pipeline.spans.iter().copied());
-        }
-        comm.barrier(); // epochs closed on every rank
-
-        (
-            make_rank_report(rank, local.len(), &setup, clocks, pipeline, ops),
-            potentials,
-        )
+        let local = &locals[comm.rank()];
+        let (report, mut columns) = eval_rank(&comm, local, cfg, BlockKernel::Potential(&kernel));
+        (report, columns.swap_remove(0))
     });
 
     // ---- assemble the global report ---------------------------------
@@ -1120,15 +946,36 @@ pub fn eval_field_rank(
     cfg: &DistConfig,
     kernel: &dyn GradientKernel,
 ) -> (RankReport, FieldResult) {
+    let (report, columns) = eval_rank(comm, local, cfg, BlockKernel::Field(kernel));
+    let [potentials, gx, gy, gz]: [Vec<f64>; 4] = columns.try_into().expect("four field columns");
+    let field = FieldResult {
+        potentials,
+        gx,
+        gy,
+        gz,
+    };
+    (report, field)
+}
+
+/// The rank-level body shared by potential and field evaluation: local
+/// tree/window/LET setup, simulated-GPU evaluation, remote LET
+/// contributions, and the modeled phase clocks. Returns the rank's
+/// report and its output columns (`kernel.columns()` of them) in
+/// **local particle order**.
+fn eval_rank(
+    comm: &Comm,
+    local: &ParticleSet,
+    cfg: &DistConfig,
+    kernel: BlockKernel<'_>,
+) -> (RankReport, Vec<Vec<f64>>) {
     let params = cfg.params;
 
     // ---- setup: local structures, windows, LETs ---------------------
-    // Batch-order accumulators for the four remote outputs. Streaming
-    // mode fills them chunk by chunk during setup; retained mode fills
-    // them from the landed LETs below — identical accumulation either
-    // way.
-    let n = local.len();
-    let (mut rp, mut rx, mut ry, mut rz) = (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    // Batch-order accumulators for the remote outputs. Streaming mode
+    // fills them chunk by chunk during setup; retained mode fills them
+    // from the landed LETs below — identical per-LET, per-cluster
+    // accumulation either way.
+    let mut remote = kernel.zeros(local.len());
     let mut remote_ops = OpCounts::default();
     let mut device_bytes = 0.0;
     let streaming = cfg.let_memory_budget.is_some();
@@ -1136,12 +983,9 @@ pub fn eval_field_rank(
         comm,
         local,
         cfg,
-        streaming.then_some(RemoteAccum::Field {
+        streaming.then_some(RemoteAccum {
             kernel,
-            pot: &mut rp,
-            gx: &mut rx,
-            gy: &mut ry,
-            gz: &mut rz,
+            out: &mut remote,
             ops: &mut remote_ops,
             device_bytes: &mut device_bytes,
         }),
@@ -1150,40 +994,30 @@ pub fn eval_field_rank(
     // ---- local evaluation on the simulated GPU ----------------------
     let gpu = GpuEngine::with_spec(params, cfg.spec)
         .with_streams(cfg.streams)
-        .compute_field_detailed(local, local, kernel);
+        .compute_block(local, local, kernel);
 
     // ---- remote (LET) contributions ---------------------------------
-    let mut field = gpu.field;
+    let mut columns = gpu.columns;
     for l in &setup.lets {
-        eval_remote_field_into(
+        eval_remote_into(
             l,
             &setup.batches,
             kernel,
-            &mut rp,
-            &mut rx,
-            &mut ry,
-            &mut rz,
+            &mut remote,
             &mut remote_ops,
             &mut device_bytes,
         );
     }
     if comm.size() > 1 {
-        let add = |dst: &mut [f64], src: Vec<f64>| {
-            for (d, s) in dst.iter_mut().zip(src) {
+        for (dst, src) in columns.iter_mut().zip(&remote) {
+            for (d, s) in dst.iter_mut().zip(setup.batches.scatter_to_original(src)) {
                 *d += s;
             }
-        };
-        add(
-            &mut field.potentials,
-            setup.batches.scatter_to_original(&rp),
-        );
-        add(&mut field.gx, setup.batches.scatter_to_original(&rx));
-        add(&mut field.gy, setup.batches.scatter_to_original(&ry));
-        add(&mut field.gz, setup.batches.scatter_to_original(&rz));
+        }
     }
     let ops = gpu.ops.merged(&remote_ops);
 
-    // ---- modeled clocks (gradient flops on the remote pass) ---------
+    // ---- modeled clocks (a field run charges gradient flops) --------
     let levels = gpu.tree_stats.max_level + 1;
     let clocks = model_rank_clocks(
         cfg,
@@ -1195,11 +1029,12 @@ pub fn eval_field_rank(
         &setup.let_stats,
         &setup.tally,
         &setup.plans,
-        remote_ops.field_flops(kernel, true),
+        remote_ops.kernel_evals() as f64 * kernel.flops_per_eval_gpu(),
         device_bytes,
         remote_ops.kernel_launches,
     );
-    let fetch_plans = chunk_fetch_plans(&setup, kernel.grad_flops_per_eval_gpu(), 7);
+    let out_cols = 3 + kernel.columns() as u64;
+    let fetch_plans = chunk_fetch_plans(&setup, kernel.flops_per_eval_gpu(), out_cols);
     debug_assert_plans_reconcile(&setup, &fetch_plans, &remote_ops, device_bytes);
     let pipeline = pipelined_clock(
         cfg,
@@ -1224,7 +1059,7 @@ pub fn eval_field_rank(
 
     (
         make_rank_report(comm.rank(), local.len(), &setup, clocks, pipeline, ops),
-        field,
+        columns,
     )
 }
 
@@ -1238,11 +1073,10 @@ fn run_field_pipeline<K: GradientKernel + ?Sized>(
     kernel: &K,
 ) -> DistFieldReport {
     let ranks = part.num_parts();
-    let kref = KernelRef(kernel);
 
     let out = run_spmd(ranks, |comm| {
         let local = &locals[comm.rank()];
-        eval_field_rank(&comm, local, cfg, &kref)
+        eval_field_rank(&comm, local, cfg, &kernel)
     });
 
     // ---- assemble the global report ---------------------------------

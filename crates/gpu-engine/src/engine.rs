@@ -23,15 +23,15 @@ use bltc_core::engine::{ComputeResult, PhaseTimings, TreecodeEngine};
 use bltc_core::field::FieldResult;
 use bltc_core::interp::tensor::TensorGrid;
 use bltc_core::kernel::{GradientKernel, Kernel};
+use bltc_core::p2p::{BlockKernel, Sources, Targets};
 use bltc_core::particles::ParticleSet;
 use bltc_core::traversal::InteractionLists;
 use bltc_core::tree::{batch::TargetBatches, SourceTree, TreeStats};
 use gpu_sim::{Device, DeviceSpec, LaunchConfig, WorkEstimate};
 
 use crate::kernels::{
-    launch_approx_field_kernel, launch_approx_kernel, launch_direct_field_kernel,
-    launch_direct_kernel, launch_precompute_phase1, launch_precompute_phase2, DeviceArrays,
-    FieldBuffers, THREADS_PER_BLOCK,
+    launch_approx_kernel, launch_direct_kernel, launch_precompute_phase1, launch_precompute_phase2,
+    DeviceArrays, THREADS_PER_BLOCK,
 };
 
 /// Simulated-clock breakdown of one GPU run (seconds).
@@ -104,6 +104,24 @@ pub struct GpuFieldRunReport {
     pub tree_stats: TreeStats,
     /// Fine-grained simulated breakdown. `compute_s` reflects the ~4×
     /// gradient-kernel flop cost.
+    pub sim: GpuSimBreakdown,
+    /// Per-kernel-class profile table.
+    pub profile_table: String,
+    /// Total kernel launches issued.
+    pub kernel_launches: u64,
+}
+
+/// Full report of a [`GpuEngine::compute_block`] run, potentials or
+/// field.
+pub struct GpuBlockReport {
+    /// Output columns in original target order: `[potentials]`, or
+    /// `[potentials, gx, gy, gz]` for a field run.
+    pub columns: Vec<Vec<f64>>,
+    /// Exact op counts.
+    pub ops: OpCounts,
+    /// Source-tree shape statistics.
+    pub tree_stats: TreeStats,
+    /// Fine-grained simulated breakdown.
     pub sim: GpuSimBreakdown,
     /// Per-kernel-class profile table.
     pub profile_table: String,
@@ -197,17 +215,14 @@ impl GpuEngine {
         let mut mark = dev.now();
         sim.htod_sources_s = mark;
 
-        // Device-resident interpolation state (generated on device).
-        let mut px = Vec::with_capacity(num_nodes * m3);
-        let mut py = Vec::with_capacity(num_nodes * m3);
-        let mut pz = Vec::with_capacity(num_nodes * m3);
+        // Device-resident interpolation state (generated on device): the
+        // proxy columns `ClusterCharges` holds on the host, in the same
+        // concatenated layout.
+        let mut cols = std::array::from_fn(|_| Vec::with_capacity(num_nodes * m3));
         for grid in &grids {
-            for p in grid.points_flat() {
-                px.push(p.x);
-                py.push(p.y);
-                pz.push(p.z);
-            }
+            grid.extend_proxy_columns(&mut cols);
         }
+        let [px, py, pz] = cols;
         let proxy_x = dev.alloc_f64(px);
         let proxy_y = dev.alloc_f64(py);
         let proxy_z = dev.alloc_f64(pz);
@@ -293,65 +308,17 @@ impl GpuEngine {
         sources: &ParticleSet,
         kernel: &dyn Kernel,
     ) -> GpuRunReport {
-        let StagedPipeline {
-            tree,
-            batches,
-            lists,
-            mut dev,
-            arrays,
-            mut sim,
-            mut mark,
-        } = self.stage(targets, sources);
-
-        // ---- compute: walk interaction lists, cycling streams -------------
-        let mut launch_counter = 0usize;
-        for (b, bl) in batches.batches().iter().zip(&lists.per_batch) {
-            for &ci in &bl.approx {
-                let stream = launch_counter % self.streams;
-                launch_counter += 1;
-                launch_approx_kernel(
-                    &mut dev,
-                    &arrays,
-                    (b.start, b.end),
-                    ci as usize,
-                    kernel,
-                    stream,
-                );
-            }
-            for &ci in &bl.direct {
-                let stream = launch_counter % self.streams;
-                launch_counter += 1;
-                let node = tree.node(ci as usize);
-                launch_direct_kernel(
-                    &mut dev,
-                    &arrays,
-                    (b.start, b.end),
-                    (node.start, node.end),
-                    kernel,
-                    stream,
-                );
-            }
-        }
-        dev.synchronize();
-        sim.compute_s = dev.now() - mark;
-        mark = dev.now();
-
-        // ---- DtH: potentials ----------------------------------------------
-        let pot_host = dev.dtoh_f64(arrays.pot);
-        sim.dtoh_potentials_s = dev.now() - mark;
-
-        let potentials = batches.scatter_to_original(&pot_host);
-        let ops = OpCounts::from_lists(&lists, &batches, &tree, &self.params);
+        let mut run = self.compute_block(targets, sources, BlockKernel::Potential(kernel));
         GpuRunReport {
             result: ComputeResult {
-                potentials,
-                ops,
-                timings: sim.as_three_phases(),
-                tree_stats: tree.stats(),
+                potentials: run.columns.swap_remove(0),
+                ops: run.ops,
+                timings: run.sim.as_three_phases(),
+                tree_stats: run.tree_stats,
             },
-            sim,
-            profile_table: dev.profiler().table(),
-            kernel_launches: dev.profiler().total_launches(),
+            sim: run.sim,
+            profile_table: run.profile_table,
+            kernel_launches: run.kernel_launches,
         }
     }
 
@@ -365,6 +332,34 @@ impl GpuEngine {
         sources: &ParticleSet,
         kernel: &dyn GradientKernel,
     ) -> GpuFieldRunReport {
+        let run = self.compute_block(targets, sources, BlockKernel::Field(kernel));
+        let [potentials, gx, gy, gz]: [Vec<f64>; 4] =
+            run.columns.try_into().expect("four field columns");
+        GpuFieldRunReport {
+            field: FieldResult {
+                potentials,
+                gx,
+                gy,
+                gz,
+            },
+            ops: run.ops,
+            timings: run.sim.as_three_phases(),
+            tree_stats: run.tree_stats,
+            sim: run.sim,
+            profile_table: run.profile_table,
+            kernel_launches: run.kernel_launches,
+        }
+    }
+
+    /// Run the full pipeline for either output kind: the shared staging,
+    /// then the batch–cluster kernels over the interaction lists
+    /// (cycling streams), then DtH of every output column.
+    pub fn compute_block(
+        &self,
+        targets: &ParticleSet,
+        sources: &ParticleSet,
+        kernel: BlockKernel<'_>,
+    ) -> GpuBlockReport {
         let StagedPipeline {
             tree,
             batches,
@@ -375,66 +370,47 @@ impl GpuEngine {
             mut mark,
         } = self.stage(targets, sources);
 
+        // Potentials live in the staged arrays; a field run adds the
+        // three gradient accumulators.
         let n = batches.particles().len();
-        let grads = FieldBuffers {
-            gx: dev.alloc_f64(vec![0.0; n]),
-            gy: dev.alloc_f64(vec![0.0; n]),
-            gz: dev.alloc_f64(vec![0.0; n]),
-        };
+        let mut outs = vec![arrays.pot];
+        for _ in 1..kernel.columns() {
+            outs.push(dev.alloc_f64(vec![0.0; n]));
+        }
 
-        // ---- compute: gradient kernels over the same lists ----------------
+        // ---- compute: walk interaction lists, cycling streams -------------
         let mut launch_counter = 0usize;
+        let mut next_stream = || {
+            launch_counter += 1;
+            (launch_counter - 1) % self.streams
+        };
         for (b, bl) in batches.batches().iter().zip(&lists.per_batch) {
+            let batch = (b.start, b.end);
             for &ci in &bl.approx {
-                let stream = launch_counter % self.streams;
-                launch_counter += 1;
-                launch_approx_field_kernel(
-                    &mut dev,
-                    &arrays,
-                    &grads,
-                    (b.start, b.end),
-                    ci as usize,
-                    kernel,
-                    stream,
-                );
+                let stream = next_stream();
+                launch_approx_kernel(&mut dev, &arrays, &outs, batch, ci as usize, kernel, stream);
             }
             for &ci in &bl.direct {
-                let stream = launch_counter % self.streams;
-                launch_counter += 1;
                 let node = tree.node(ci as usize);
-                launch_direct_field_kernel(
-                    &mut dev,
-                    &arrays,
-                    &grads,
-                    (b.start, b.end),
-                    (node.start, node.end),
-                    kernel,
-                    stream,
-                );
+                let cluster = (node.start, node.end);
+                let stream = next_stream();
+                launch_direct_kernel(&mut dev, &arrays, &outs, batch, cluster, kernel, stream);
             }
         }
         dev.synchronize();
         sim.compute_s = dev.now() - mark;
         mark = dev.now();
 
-        // ---- DtH: potentials + gradients ----------------------------------
-        let pot_host = dev.dtoh_f64(arrays.pot);
-        let gx_host = dev.dtoh_f64(grads.gx);
-        let gy_host = dev.dtoh_f64(grads.gy);
-        let gz_host = dev.dtoh_f64(grads.gz);
+        // ---- DtH: potentials (+ gradients) --------------------------------
+        let host: Vec<Vec<f64>> = outs.iter().map(|&buf| dev.dtoh_f64(buf)).collect();
         sim.dtoh_potentials_s = dev.now() - mark;
 
-        let field = FieldResult {
-            potentials: batches.scatter_to_original(&pot_host),
-            gx: batches.scatter_to_original(&gx_host),
-            gy: batches.scatter_to_original(&gy_host),
-            gz: batches.scatter_to_original(&gz_host),
-        };
-        let ops = OpCounts::from_lists(&lists, &batches, &tree, &self.params);
-        GpuFieldRunReport {
-            field,
-            ops,
-            timings: sim.as_three_phases(),
+        GpuBlockReport {
+            columns: host
+                .iter()
+                .map(|c| batches.scatter_to_original(c))
+                .collect(),
+            ops: OpCounts::from_lists(&lists, &batches, &tree, &self.params),
             tree_stats: tree.stats(),
             sim,
             profile_table: dev.profiler().table(),
@@ -519,21 +495,13 @@ pub fn gpu_direct_sum(
     );
     let cfg = LaunchConfig::new("direct_sum_full", nb.max(1), THREADS_PER_BLOCK);
     dev.launch(cfg, work, |mem| {
-        let xs = mem.f64(sx).to_vec();
-        let ys = mem.f64(sy).to_vec();
-        let zs = mem.f64(sz).to_vec();
-        let qs = mem.f64(sq).to_vec();
-        let txv = mem.f64(tx).to_vec();
-        let tyv = mem.f64(ty).to_vec();
-        let tzv = mem.f64(tz).to_vec();
-        let out = mem.f64_mut(pot);
-        for i in 0..nb {
-            let mut acc = 0.0;
-            for j in 0..nc {
-                acc += kernel.eval(txv[i] - xs[j], tyv[i] - ys[j], tzv[i] - zs[j]) * qs[j];
-            }
-            out[i] = acc;
-        }
+        let mut acc = vec![0.0; nb];
+        kernel.p2p_potential(
+            Targets::new(mem.f64(tx), mem.f64(ty), mem.f64(tz)),
+            Sources::new(mem.f64(sx), mem.f64(sy), mem.f64(sz), mem.f64(sq)),
+            &mut acc,
+        );
+        mem.f64_mut(pot).copy_from_slice(&acc);
     });
     let potentials = dev.dtoh_f64(pot);
     GpuDirectSumResult {

@@ -1,8 +1,13 @@
-//! The four BLTC compute kernels on the simulated device.
+//! The four BLTC compute kernels on the simulated device: the two
+//! modified-charge phases and the batch–cluster direct and approximation
+//! kernels, each of the latter in a potential and a field form.
 //!
 //! Each launch carries the paper's grid/block geometry and an exact work
-//! estimate; the body executes the same scalar arithmetic as the CPU
-//! engines (bitwise-identical results). Cluster proxy data lives in
+//! estimate; the body runs the CPU engines' P2P block
+//! ([`bltc_core::p2p`]) on borrowed device slices, so results are
+//! bitwise identical. Evaluation bodies accumulate per-target block sums
+//! and flush them with one atomic update per output slot. Cluster proxy
+//! data lives in
 //! concatenated device buffers — node `i` owns the slice
 //! `[i·(n+1)³, (i+1)·(n+1)³)` — so one index addresses both the proxy
 //! coordinates and the modified charges, as a real GPU port would lay
@@ -11,8 +16,8 @@
 use bltc_core::charges::{phase1_intermediates, phase2_accumulate};
 use bltc_core::cost::{PHASE1_FLOPS_PER_TERM, PHASE2_FLOPS_PER_TERM};
 use bltc_core::interp::tensor::TensorGrid;
-use bltc_core::kernel::{GradientKernel, Kernel};
-use gpu_sim::{BufF64, Device, LaunchConfig, WorkEstimate};
+use bltc_core::p2p::{BlockKernel, Sources, Targets};
+use gpu_sim::{BufF64, Device, DeviceMemory, LaunchConfig, WorkEstimate};
 
 /// Threads per block used by all four kernels (the inner parallel width).
 pub const THREADS_PER_BLOCK: usize = 128;
@@ -34,7 +39,8 @@ pub struct DeviceArrays {
     pub ty: BufF64,
     /// Target z.
     pub tz: BufF64,
-    /// Potentials (batch order), accumulated by the eval kernels.
+    /// Potentials (batch order), accumulated by the eval kernels; the
+    /// first of a launch's output buffers.
     pub pot: BufF64,
     /// Concatenated proxy x-coordinates, `(n+1)³` per node.
     pub proxy_x: BufF64,
@@ -48,144 +54,6 @@ pub struct DeviceArrays {
     pub qtilde: BufF64,
     /// Proxy points per node, `(n+1)³`.
     pub proxy_per_node: usize,
-}
-
-/// Device-resident gradient accumulators for the **field** kernels
-/// (batch order, one slot per target; `E = -q·(gx, gy, gz)`).
-#[derive(Debug, Clone, Copy)]
-pub struct FieldBuffers {
-    /// `∂φ/∂x` accumulator.
-    pub gx: BufF64,
-    /// `∂φ/∂y` accumulator.
-    pub gy: BufF64,
-    /// `∂φ/∂z` accumulator.
-    pub gz: BufF64,
-}
-
-/// Batch–cluster **direct field** kernel: Eq. 9 differentiated with
-/// respect to the target — four outputs (potential + gradient) per
-/// target, same launch geometry as the potential-only kernel, ~4× the
-/// flops (see [`GradientKernel::grad_flops_per_eval_gpu`]).
-#[allow(clippy::too_many_arguments)]
-pub fn launch_direct_field_kernel(
-    dev: &mut Device,
-    arrays: &DeviceArrays,
-    grads: &FieldBuffers,
-    batch_range: (usize, usize),
-    cluster_range: (usize, usize),
-    kernel: &dyn GradientKernel,
-    stream: usize,
-) {
-    let (t0, t1) = batch_range;
-    let (s0, s1) = cluster_range;
-    let nb = t1 - t0;
-    let nc = s1 - s0;
-    debug_assert!(nb > 0 && nc > 0);
-    let work = WorkEstimate::new(
-        nb as f64 * nc as f64 * kernel.grad_flops_per_eval_gpu(),
-        ((nb * 7 + nc * 4) * 8) as f64,
-    );
-    let cfg = LaunchConfig::new("batch_cluster_direct_field", nb, THREADS_PER_BLOCK).stream(stream);
-    let a = *arrays;
-    let g = *grads;
-    dev.launch(cfg, work, move |mem| {
-        let xs = mem.f64(a.sx)[s0..s1].to_vec();
-        let ys = mem.f64(a.sy)[s0..s1].to_vec();
-        let zs = mem.f64(a.sz)[s0..s1].to_vec();
-        let qs = mem.f64(a.sq)[s0..s1].to_vec();
-        let txv = mem.f64(a.tx)[t0..t1].to_vec();
-        let tyv = mem.f64(a.ty)[t0..t1].to_vec();
-        let tzv = mem.f64(a.tz)[t0..t1].to_vec();
-        // Per-target block accumulators, flushed with one atomic update
-        // per output array (the same order the CPU field path uses, so
-        // results stay bitwise identical).
-        let mut acc = vec![(0.0, 0.0, 0.0, 0.0); nb];
-        for (i, slot) in acc.iter_mut().enumerate() {
-            for j in 0..nc {
-                let (gv, dgx, dgy, dgz) =
-                    kernel.eval_with_grad(txv[i] - xs[j], tyv[i] - ys[j], tzv[i] - zs[j]);
-                slot.0 += gv * qs[j];
-                slot.1 += dgx * qs[j];
-                slot.2 += dgy * qs[j];
-                slot.3 += dgz * qs[j];
-            }
-        }
-        flush_field_acc(mem, &a, &g, t0, &acc);
-    });
-}
-
-/// Batch–cluster **approximation field** kernel: Eq. 11 differentiated
-/// with respect to the target — the cluster's Chebyshev proxies and
-/// modified charges in place of the sources.
-pub fn launch_approx_field_kernel(
-    dev: &mut Device,
-    arrays: &DeviceArrays,
-    grads: &FieldBuffers,
-    batch_range: (usize, usize),
-    node_idx: usize,
-    kernel: &dyn GradientKernel,
-    stream: usize,
-) {
-    let (t0, t1) = batch_range;
-    let nb = t1 - t0;
-    let m3 = arrays.proxy_per_node;
-    debug_assert!(nb > 0 && m3 > 0);
-    let work = WorkEstimate::new(
-        nb as f64 * m3 as f64 * kernel.grad_flops_per_eval_gpu(),
-        ((nb * 7 + m3 * 4) * 8) as f64,
-    );
-    let cfg = LaunchConfig::new("batch_cluster_approx_field", nb, THREADS_PER_BLOCK).stream(stream);
-    let a = *arrays;
-    let g = *grads;
-    let base = node_idx * m3;
-    dev.launch(cfg, work, move |mem| {
-        let px = mem.f64(a.proxy_x)[base..base + m3].to_vec();
-        let py = mem.f64(a.proxy_y)[base..base + m3].to_vec();
-        let pz = mem.f64(a.proxy_z)[base..base + m3].to_vec();
-        let qh = mem.f64(a.qhat)[base..base + m3].to_vec();
-        let txv = mem.f64(a.tx)[t0..t1].to_vec();
-        let tyv = mem.f64(a.ty)[t0..t1].to_vec();
-        let tzv = mem.f64(a.tz)[t0..t1].to_vec();
-        let mut acc = vec![(0.0, 0.0, 0.0, 0.0); nb];
-        for (i, slot) in acc.iter_mut().enumerate() {
-            for k in 0..m3 {
-                let (gv, dgx, dgy, dgz) =
-                    kernel.eval_with_grad(txv[i] - px[k], tyv[i] - py[k], tzv[i] - pz[k]);
-                slot.0 += gv * qh[k];
-                slot.1 += dgx * qh[k];
-                slot.2 += dgy * qh[k];
-                slot.3 += dgz * qh[k];
-            }
-        }
-        flush_field_acc(mem, &a, &g, t0, &acc);
-    });
-}
-
-/// Flush per-target `(φ, ∂x, ∂y, ∂z)` block accumulators into the four
-/// device output arrays (one atomic update per array per target).
-fn flush_field_acc(
-    mem: &mut gpu_sim::DeviceMemory,
-    arrays: &DeviceArrays,
-    grads: &FieldBuffers,
-    t0: usize,
-    acc: &[(f64, f64, f64, f64)],
-) {
-    let pot = mem.f64_mut(arrays.pot);
-    for (i, a) in acc.iter().enumerate() {
-        pot[t0 + i] += a.0;
-    }
-    let gx = mem.f64_mut(grads.gx);
-    for (i, a) in acc.iter().enumerate() {
-        gx[t0 + i] += a.1;
-    }
-    let gy = mem.f64_mut(grads.gy);
-    for (i, a) in acc.iter().enumerate() {
-        gy[t0 + i] += a.2;
-    }
-    let gz = mem.f64_mut(grads.gz);
-    for (i, a) in acc.iter().enumerate() {
-        gz[t0 + i] += a.3;
-    }
 }
 
 /// Preprocessing kernel 1 (Eq. 14): intermediates `q̃_j` for one cluster.
@@ -210,12 +78,15 @@ pub fn launch_precompute_phase1(
     let cfg = LaunchConfig::new("precompute_phase1", nc, THREADS_PER_BLOCK).stream(stream);
     let (sx, sy, sz, sq, qt) = (arrays.sx, arrays.sy, arrays.sz, arrays.sq, arrays.qtilde);
     dev.launch(cfg, work, move |mem| {
-        let xs = mem.f64(sx)[start..end].to_vec();
-        let ys = mem.f64(sy)[start..end].to_vec();
-        let zs = mem.f64(sz)[start..end].to_vec();
-        let qs = mem.f64(sq)[start..end].to_vec();
-        let vals = phase1_intermediates(grid, &xs, &ys, &zs, &qs);
-        mem.f64_mut(qt)[start..end].copy_from_slice(&vals);
+        let r = start..end;
+        let vals = phase1_intermediates(
+            grid,
+            &mem.f64(sx)[r.clone()],
+            &mem.f64(sy)[r.clone()],
+            &mem.f64(sz)[r.clone()],
+            &mem.f64(sq)[r.clone()],
+        );
+        mem.f64_mut(qt)[r].copy_from_slice(&vals);
     });
 }
 
@@ -243,11 +114,14 @@ pub fn launch_precompute_phase2(
     let cfg = LaunchConfig::new("precompute_phase2", m3, THREADS_PER_BLOCK).stream(stream);
     let (sx, sy, sz, qt, qhat) = (arrays.sx, arrays.sy, arrays.sz, arrays.qtilde, arrays.qhat);
     dev.launch(cfg, work, move |mem| {
-        let xs = mem.f64(sx)[start..end].to_vec();
-        let ys = mem.f64(sy)[start..end].to_vec();
-        let zs = mem.f64(sz)[start..end].to_vec();
-        let qtv = mem.f64(qt)[start..end].to_vec();
-        let vals = phase2_accumulate(grid, &xs, &ys, &zs, &qtv);
+        let r = start..end;
+        let vals = phase2_accumulate(
+            grid,
+            &mem.f64(sx)[r.clone()],
+            &mem.f64(sy)[r.clone()],
+            &mem.f64(sz)[r.clone()],
+            &mem.f64(qt)[r],
+        );
         let base = node_idx * m3;
         mem.f64_mut(qhat)[base..base + m3].copy_from_slice(&vals);
     });
@@ -256,46 +130,32 @@ pub fn launch_precompute_phase2(
 /// Batch–cluster **direct sum** kernel (Eq. 9, Fig. 3).
 ///
 /// Grid: one block per target in the batch; one thread per source in the
-/// cluster; block reduction; atomic accumulate into the target potential.
+/// cluster; block reduction; atomic accumulate into the target outputs.
+/// `outs` holds one device array per output column of `kernel`: the
+/// potentials, then for a [`BlockKernel::Field`] the three gradient
+/// components — four outputs per target, same launch geometry, ~4× the
+/// flops (see `GradientKernel::grad_flops_per_eval_gpu`).
 pub fn launch_direct_kernel(
     dev: &mut Device,
     arrays: &DeviceArrays,
+    outs: &[BufF64],
     batch_range: (usize, usize),
     cluster_range: (usize, usize),
-    kernel: &dyn Kernel,
+    kernel: BlockKernel<'_>,
     stream: usize,
 ) {
-    let (t0, t1) = batch_range;
-    let (s0, s1) = cluster_range;
-    let nb = t1 - t0;
-    let nc = s1 - s0;
-    debug_assert!(nb > 0 && nc > 0);
-    let work = WorkEstimate::new(
-        nb as f64 * nc as f64 * kernel.flops_per_eval_gpu(),
-        ((nb * 4 + nc * 4) * 8) as f64,
+    let names = ["batch_cluster_direct", "batch_cluster_direct_field"];
+    let cluster = Cluster::Particles(cluster_range.0, cluster_range.1);
+    launch_eval(
+        dev,
+        arrays,
+        outs,
+        names,
+        batch_range,
+        cluster,
+        kernel,
+        stream,
     );
-    let cfg = LaunchConfig::new("batch_cluster_direct", nb, THREADS_PER_BLOCK).stream(stream);
-    let a = *arrays;
-    dev.launch(cfg, work, move |mem| {
-        // Stage the cluster (the "shared memory" of a real port).
-        let xs = mem.f64(a.sx)[s0..s1].to_vec();
-        let ys = mem.f64(a.sy)[s0..s1].to_vec();
-        let zs = mem.f64(a.sz)[s0..s1].to_vec();
-        let qs = mem.f64(a.sq)[s0..s1].to_vec();
-        let txv = mem.f64(a.tx)[t0..t1].to_vec();
-        let tyv = mem.f64(a.ty)[t0..t1].to_vec();
-        let tzv = mem.f64(a.tz)[t0..t1].to_vec();
-        let pot = mem.f64_mut(a.pot);
-        // Block i: target t0+i; threads j over sources; sequential sum
-        // models the deterministic block reduction.
-        for i in 0..nb {
-            let mut acc = 0.0;
-            for j in 0..nc {
-                acc += kernel.eval(txv[i] - xs[j], tyv[i] - ys[j], tzv[i] - zs[j]) * qs[j];
-            }
-            pot[t0 + i] += acc; // the #pragma acc atomic update
-        }
-    });
 }
 
 /// Batch–cluster **approximation** kernel (Eq. 11).
@@ -306,37 +166,110 @@ pub fn launch_direct_kernel(
 pub fn launch_approx_kernel(
     dev: &mut Device,
     arrays: &DeviceArrays,
+    outs: &[BufF64],
     batch_range: (usize, usize),
     node_idx: usize,
-    kernel: &dyn Kernel,
+    kernel: BlockKernel<'_>,
+    stream: usize,
+) {
+    let names = ["batch_cluster_approx", "batch_cluster_approx_field"];
+    let cluster = Cluster::Proxies(node_idx);
+    launch_eval(
+        dev,
+        arrays,
+        outs,
+        names,
+        batch_range,
+        cluster,
+        kernel,
+        stream,
+    );
+}
+
+/// The source side of one evaluation launch.
+#[derive(Clone, Copy)]
+enum Cluster {
+    /// Source particles `start..end` (tree order).
+    Particles(usize, usize),
+    /// A node's proxies and modified charges.
+    Proxies(usize),
+}
+
+impl Cluster {
+    fn len(self, a: &DeviceArrays) -> usize {
+        match self {
+            Self::Particles(s0, s1) => s1 - s0,
+            Self::Proxies(_) => a.proxy_per_node,
+        }
+    }
+
+    fn sources<'m>(self, mem: &'m DeviceMemory, a: &DeviceArrays) -> Sources<'m> {
+        let (x, y, z, q, r) = match self {
+            Self::Particles(s0, s1) => (a.sx, a.sy, a.sz, a.sq, s0..s1),
+            Self::Proxies(i) => {
+                let m3 = a.proxy_per_node;
+                (
+                    a.proxy_x,
+                    a.proxy_y,
+                    a.proxy_z,
+                    a.qhat,
+                    i * m3..(i + 1) * m3,
+                )
+            }
+        };
+        Sources::new(
+            &mem.f64(x)[r.clone()],
+            &mem.f64(y)[r.clone()],
+            &mem.f64(z)[r.clone()],
+            &mem.f64(q)[r],
+        )
+    }
+}
+
+/// Shared body of the evaluation launches: one P2P block on borrowed
+/// device slices into per-target block sums, flushed with one atomic
+/// update per output array per target.
+#[allow(clippy::too_many_arguments)]
+fn launch_eval(
+    dev: &mut Device,
+    arrays: &DeviceArrays,
+    outs: &[BufF64],
+    names: [&'static str; 2],
+    batch_range: (usize, usize),
+    cluster: Cluster,
+    kernel: BlockKernel<'_>,
     stream: usize,
 ) {
     let (t0, t1) = batch_range;
     let nb = t1 - t0;
-    let m3 = arrays.proxy_per_node;
-    debug_assert!(nb > 0 && m3 > 0);
+    let nc = cluster.len(arrays);
+    debug_assert!(nb > 0 && nc > 0);
+    debug_assert_eq!(outs.len(), kernel.columns());
     let work = WorkEstimate::new(
-        nb as f64 * m3 as f64 * kernel.flops_per_eval_gpu(),
-        ((nb * 4 + m3 * 4) * 8) as f64,
+        nb as f64 * nc as f64 * kernel.flops_per_eval_gpu(),
+        ((nb * (3 + kernel.columns()) + nc * 4) * 8) as f64,
     );
-    let cfg = LaunchConfig::new("batch_cluster_approx", nb, THREADS_PER_BLOCK).stream(stream);
+    let name = match kernel {
+        BlockKernel::Potential(_) => names[0],
+        BlockKernel::Field(_) => names[1],
+    };
+    let cfg = LaunchConfig::new(name, nb, THREADS_PER_BLOCK).stream(stream);
     let a = *arrays;
-    let base = node_idx * m3;
     dev.launch(cfg, work, move |mem| {
-        let px = mem.f64(a.proxy_x)[base..base + m3].to_vec();
-        let py = mem.f64(a.proxy_y)[base..base + m3].to_vec();
-        let pz = mem.f64(a.proxy_z)[base..base + m3].to_vec();
-        let qh = mem.f64(a.qhat)[base..base + m3].to_vec();
-        let txv = mem.f64(a.tx)[t0..t1].to_vec();
-        let tyv = mem.f64(a.ty)[t0..t1].to_vec();
-        let tzv = mem.f64(a.tz)[t0..t1].to_vec();
-        let pot = mem.f64_mut(a.pot);
-        for i in 0..nb {
-            let mut acc = 0.0;
-            for k in 0..m3 {
-                acc += kernel.eval(txv[i] - px[k], tyv[i] - py[k], tzv[i] - pz[k]) * qh[k];
+        // Block i: target t0+i; threads j over sources; the in-order sum
+        // models the deterministic block reduction.
+        let targets = Targets::new(
+            &mem.f64(a.tx)[t0..t1],
+            &mem.f64(a.ty)[t0..t1],
+            &mem.f64(a.tz)[t0..t1],
+        );
+        let mut acc = kernel.zeros(nb);
+        kernel.accumulate(targets, cluster.sources(mem, &a), &mut acc);
+        // The #pragma acc atomic update.
+        for (&buf, vals) in outs.iter().zip(&acc) {
+            for (slot, v) in mem.f64_mut(buf)[t0..t1].iter_mut().zip(vals) {
+                *slot += v;
             }
-            pot[t0 + i] += acc;
         }
     });
 }

@@ -48,7 +48,7 @@ pub mod kernels;
 pub mod pipeline;
 
 pub use engine::{
-    gpu_direct_sum, gpu_direct_sum_modeled_seconds, GpuDirectSumResult, GpuEngine,
+    gpu_direct_sum, gpu_direct_sum_modeled_seconds, GpuBlockReport, GpuDirectSumResult, GpuEngine,
     GpuFieldRunReport, GpuRunReport, GpuSimBreakdown,
 };
 pub use gpu_sim::KernelEvent;

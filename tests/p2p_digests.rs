@@ -7,8 +7,8 @@
 //! target's sum, a reordered accumulation or a contracted multiply-add
 //! shows up here. They hold at every host-pool size.
 
-use bltc::core::prelude::*;
 use bltc::core::kernel::RegularizedYukawa;
+use bltc::core::prelude::*;
 use bltc::core::variants::TreecodeVariant;
 use bltc::dist::{run_distributed, DistConfig};
 use bltc::gpu::GpuEngine;
