@@ -21,20 +21,21 @@
 //!
 //! Two consumption modes share those stages:
 //!
-//! - **Retain** ([`land_remote_let`] then [`eval_remote_into`]): land every
-//!   chunk into one [`RemoteLet`], evaluate afterwards. Peak resident
-//!   remote payload = the whole LET.
-//! - **Stream** ([`stream_remote_let`]):
-//!   land one chunk, evaluate just that chunk's clusters into persistent
-//!   per-batch partials, drop the payload, land the next. Peak resident
-//!   remote payload = the largest single chunk, which [`plan_chunks`]
-//!   caps at the caller's byte budget — the memory-bounded mode that
-//!   lets a rank's LET far exceed its staging memory.
+//! - **Retain** ([`land_remote_let`] then [`eval_remote_into`]): land
+//!   every chunk into one [`RemoteLet`], evaluate afterwards. Peak
+//!   resident remote payload = the whole LET.
+//! - **Stream** ([`stream_remote_let`]): land one chunk, evaluate just
+//!   that chunk's clusters into persistent per-batch partials, drop the
+//!   payload, land the next. Peak resident remote payload = the largest
+//!   single chunk, which [`plan_chunks`] caps at the caller's byte
+//!   budget — the memory-bounded mode that lets a rank's LET far exceed
+//!   its staging memory.
 //!
 //! Both modes execute identical gets in identical order through
 //! [`land_chunk`] and identical per-cluster math through the shared P2P
-//! block (`bltc_core::p2p`), so potentials, forces, op counts, and recorded traffic are
-//! bitwise independent of the mode and of the budget.
+//! block (`bltc_core::p2p`), so potentials, forces, op counts, and
+//! recorded traffic are bitwise independent of the mode and of the
+//! budget.
 
 use std::collections::BTreeMap;
 

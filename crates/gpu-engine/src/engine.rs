@@ -380,20 +380,18 @@ impl GpuEngine {
 
         // ---- compute: walk interaction lists, cycling streams -------------
         let mut launch_counter = 0usize;
-        let mut next_stream = || {
-            launch_counter += 1;
-            (launch_counter - 1) % self.streams
-        };
         for (b, bl) in batches.batches().iter().zip(&lists.per_batch) {
             let batch = (b.start, b.end);
             for &ci in &bl.approx {
-                let stream = next_stream();
+                let stream = launch_counter % self.streams;
+                launch_counter += 1;
                 launch_approx_kernel(&mut dev, &arrays, &outs, batch, ci as usize, kernel, stream);
             }
             for &ci in &bl.direct {
+                let stream = launch_counter % self.streams;
+                launch_counter += 1;
                 let node = tree.node(ci as usize);
                 let cluster = (node.start, node.end);
-                let stream = next_stream();
                 launch_direct_kernel(&mut dev, &arrays, &outs, batch, cluster, kernel, stream);
             }
         }

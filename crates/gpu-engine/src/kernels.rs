@@ -7,8 +7,7 @@
 //! ([`bltc_core::p2p`]) on borrowed device slices, so results are
 //! bitwise identical. Evaluation bodies accumulate per-target block sums
 //! and flush them with one atomic update per output slot. Cluster proxy
-//! data lives in
-//! concatenated device buffers — node `i` owns the slice
+//! data lives in concatenated device buffers — node `i` owns the slice
 //! `[i·(n+1)³, (i+1)·(n+1)³)` — so one index addresses both the proxy
 //! coordinates and the modified charges, as a real GPU port would lay
 //! them out.
