@@ -21,37 +21,41 @@ use rayon::prelude::*;
 
 use crate::interp::barycentric::{dim_eval, dim_term, phase1_factor, DimEval};
 use crate::interp::tensor::TensorGrid;
+use crate::mac::can_approximate;
 use crate::p2p::Sources;
 use crate::tree::SourceTree;
 
-/// Per-cluster interpolation data: the tensor grid, its proxy-coordinate
-/// columns and (for computed clusters) the `(n+1)³` modified charges in
-/// linear index order.
+/// Per-cluster interpolation data: the tensor grid and, for computed
+/// clusters, its proxy-coordinate columns and the `(n+1)³` modified
+/// charges in linear index order.
 #[derive(Debug, Clone)]
 pub struct ClusterCharges {
     degree: usize,
     grids: Vec<TensorGrid>,
-    /// Proxy `[x, y, z]` columns of every node, concatenated in node
-    /// order, `(n+1)³` per node — computed once so no evaluation loop
-    /// rebuilds a proxy point.
-    proxies: [Vec<f64>; 3],
-    qhat: Vec<Vec<f64>>,
+    /// Per node, the proxy `[x, y, z]` columns and the modified charges
+    /// `q̂`, all empty until the node's charges are computed or set —
+    /// built once so no evaluation loop rebuilds a proxy point.
+    clusters: Vec<[Vec<f64>; 4]>,
 }
 
 impl ClusterCharges {
     /// Compute the tensor grids for every node and the modified charges
-    /// for every node (the paper precomputes all clusters in the rank's
-    /// subtree up front, §3.2 — one OpenMP task per cluster; here one
-    /// pool task per cluster). Each node's charges depend only on that
-    /// node's particles and grid and land in that node's slot, so the
-    /// result is bitwise identical at any pool size.
+    /// of every node a MAC can accept ([`can_approximate`]; the paper
+    /// precomputes the clusters of the rank's subtree up front, §3.2 —
+    /// one OpenMP task per cluster; here one pool task per cluster).
+    /// Every other node is evaluated directly by every batch on every
+    /// rank, so its charges are never read and stay uncomputed
+    /// ([`Self::is_computed`] is false; [`Self::compute_node`] fills one
+    /// on demand). Each node's charges depend only on that node's
+    /// particles and grid and land in that node's slot, so the result is
+    /// bitwise identical at any pool size.
     pub fn compute_all(tree: &SourceTree, degree: usize) -> Self {
         let mut s = Self::grids_only(tree, degree);
-        let grids = &s.grids;
-        s.qhat = (0..tree.num_nodes())
-            .into_par_iter()
-            .map(|idx| compute_node_charges(tree, &grids[idx], idx))
-            .collect();
+        for (idx, q) in approximable_charges(tree, degree).into_iter().enumerate() {
+            if !q.is_empty() {
+                s.set_node_charges(idx, q);
+            }
+        }
         s
     }
 
@@ -65,33 +69,32 @@ impl ClusterCharges {
             .iter()
             .map(|n| TensorGrid::new(degree, &n.bbox))
             .collect();
-        let cap = grids.len() * (degree + 1).pow(3);
-        let mut proxies = std::array::from_fn(|_| Vec::with_capacity(cap));
-        for g in &grids {
-            g.extend_proxy_columns(&mut proxies);
-        }
-        let qhat = vec![Vec::new(); tree.num_nodes()];
+        let clusters = vec![Default::default(); grids.len()];
         Self {
             degree,
             grids,
-            proxies,
-            qhat,
+            clusters,
         }
     }
 
     /// Compute (or recompute) the charges of a single node.
     pub fn compute_node(&mut self, tree: &SourceTree, idx: usize) {
-        self.qhat[idx] = compute_node_charges(tree, &self.grids[idx], idx);
+        let charges = compute_node_charges(tree, &self.grids[idx], idx);
+        self.set_node_charges(idx, charges);
     }
 
-    /// Install externally computed charges for a node (distributed LET).
+    /// Install externally computed charges for a node (distributed LET),
+    /// building its proxy columns.
     pub fn set_node_charges(&mut self, idx: usize, charges: Vec<f64>) {
         assert_eq!(
             charges.len(),
             self.grids[idx].len(),
             "charge count mismatch"
         );
-        self.qhat[idx] = charges;
+        let mut proxies = Default::default();
+        self.grids[idx].extend_proxy_columns(&mut proxies);
+        let [x, y, z] = proxies;
+        self.clusters[idx] = [x, y, z, charges];
     }
 
     /// Interpolation degree.
@@ -109,33 +112,64 @@ impl ClusterCharges {
     /// The modified charges of a node (empty if not computed).
     #[inline]
     pub fn charges(&self, idx: usize) -> &[f64] {
-        &self.qhat[idx]
+        &self.clusters[idx][3]
     }
 
     /// A node's proxies and modified charges as one P2P source block
     /// (Eq. 11). Panics if the node's charges have not been computed.
     pub fn proxy_sources(&self, idx: usize) -> Sources<'_> {
-        let qhat = &self.qhat[idx];
         assert!(
-            !qhat.is_empty(),
+            self.is_computed(idx),
             "modified charges missing for cluster {idx}"
         );
-        let m3 = self.grids[idx].len();
-        let r = idx * m3..(idx + 1) * m3;
-        let [x, y, z] = &self.proxies;
-        Sources::new(&x[r.clone()], &y[r.clone()], &z[r], qhat)
+        let [x, y, z, q] = &self.clusters[idx];
+        Sources::new(x, y, z, q)
     }
 
     /// Whether a node's charges have been computed.
     #[inline]
     pub fn is_computed(&self, idx: usize) -> bool {
-        !self.qhat[idx].is_empty()
+        !self.clusters[idx][3].is_empty()
     }
 
     /// Number of nodes tracked.
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.grids.len()
+    }
+}
+
+/// The modified charges of every node a MAC can accept, empty for the
+/// rest — one pool task per node.
+fn approximable_charges(tree: &SourceTree, degree: usize) -> Vec<Vec<f64>> {
+    let m3 = (degree + 1).pow(3);
+    (0..tree.num_nodes())
+        .into_par_iter()
+        .map(|idx| {
+            let node = tree.node(idx);
+            if !can_approximate(m3, node.num_particles()) {
+                return Vec::new();
+            }
+            compute_node_charges(tree, &TensorGrid::new(degree, &node.bbox), idx)
+        })
+        .collect()
+}
+
+/// Write the modified charges of every node a MAC can accept into `out`,
+/// `(n+1)³` slots per node in node order, without building proxy
+/// columns (the distributed modified-charge window). The slots of the
+/// other nodes are left as they are.
+pub fn write_approximable_charges(tree: &SourceTree, degree: usize, out: &mut [f64]) {
+    let m3 = (degree + 1).pow(3);
+    assert_eq!(
+        out.len(),
+        tree.num_nodes() * m3,
+        "one charge window per node"
+    );
+    for (slot, q) in out.chunks_mut(m3).zip(approximable_charges(tree, degree)) {
+        if !q.is_empty() {
+            slot.copy_from_slice(&q);
+        }
     }
 }
 
@@ -259,8 +293,13 @@ mod tests {
     fn total_charge_is_conserved_per_cluster() {
         let ps = ParticleSet::random_cube(2000, 31);
         let tree = tree_of(&ps, 100);
-        let cc = ClusterCharges::compute_all(&tree, 5);
+        // compute_all skips the nodes no MAC can accept (every leaf
+        // here); conservation holds for those too.
+        let mut cc = ClusterCharges::compute_all(&tree, 5);
         for idx in 0..tree.num_nodes() {
+            if !cc.is_computed(idx) {
+                cc.compute_node(&tree, idx);
+            }
             let (_, _, _, qs) = tree.node_particles(idx);
             let direct: f64 = qs.iter().sum();
             let hat: f64 = cc.charges(idx).iter().sum();
@@ -277,7 +316,8 @@ mod tests {
         // direct particle sum to interpolation accuracy.
         let ps = ParticleSet::random_cube(1000, 32);
         let tree = tree_of(&ps, 2000); // single node = whole cloud
-        let cc = ClusterCharges::compute_all(&tree, 10);
+        let mut cc = ClusterCharges::grids_only(&tree, 10);
+        cc.compute_node(&tree, 0);
         let kernel = Coulomb;
         let target = Point3::new(8.0, 1.5, -3.0);
         let (xs, ys, zs, qs) = tree.node_particles(0);
@@ -309,7 +349,8 @@ mod tests {
             .sum();
         let mut prev = f64::INFINITY;
         for degree in [2, 4, 6, 8] {
-            let cc = ClusterCharges::compute_all(&tree, degree);
+            let mut cc = ClusterCharges::grids_only(&tree, degree);
+            cc.compute_node(&tree, 0);
             let grid = cc.grid(0);
             let approx: f64 = (0..grid.len())
                 .map(|k| {
@@ -334,7 +375,8 @@ mod tests {
         ps.push(Point3::new(0.5, 0.5, 0.5), 3.0);
         ps.push(Point3::new(1.0, 0.25, 0.75), 0.5); // face x = max
         let tree = tree_of(&ps, 100);
-        let cc = ClusterCharges::compute_all(&tree, 4);
+        let mut cc = ClusterCharges::grids_only(&tree, 4);
+        cc.compute_node(&tree, 0);
         for &v in cc.charges(0) {
             assert!(v.is_finite());
         }
@@ -352,7 +394,8 @@ mod tests {
         ps.push(Point3::new(1.0, 1.0, 1.0), 5.0);
         ps.push(Point3::new(0.0, 0.0, 0.0), 0.0); // zero charge anchor
         let tree = tree_of(&ps, 100);
-        let cc = ClusterCharges::compute_all(&tree, 3);
+        let mut cc = ClusterCharges::grids_only(&tree, 3);
+        cc.compute_node(&tree, 0);
         let grid = cc.grid(0);
         let idx = grid.flatten(0, 0, 0);
         assert_eq!(cc.charges(0)[idx], 5.0);
@@ -370,6 +413,43 @@ mod tests {
         assert!(cc.is_computed(0));
         let full = ClusterCharges::compute_all(&tree, 4);
         assert_eq!(cc.charges(0), full.charges(0));
+    }
+
+    #[test]
+    fn only_clusters_a_mac_can_accept_are_computed() {
+        use crate::engine::PreparedTreecode;
+        let ps = ParticleSet::random_cube(4000, 38);
+        let prep = PreparedTreecode::new(&ps, &ps, BltcParams::new(0.7, 3, 50, 50));
+        let m3 = prep.params.proxy_count();
+        let mut skipped = 0;
+        for idx in 0..prep.tree.num_nodes() {
+            let accepts = can_approximate(m3, prep.tree.node(idx).num_particles());
+            assert_eq!(prep.charges.is_computed(idx), accepts, "node {idx}");
+            skipped += usize::from(!accepts);
+        }
+        assert!(skipped > 0, "some clusters must be too small");
+        let approx = prep.lists.per_batch.iter().flat_map(|b| &b.approx);
+        for &ci in approx {
+            assert!(prep.charges.is_computed(ci as usize), "approx entry {ci}");
+        }
+    }
+
+    #[test]
+    fn window_holds_the_computed_charges() {
+        let ps = ParticleSet::random_cube(2000, 39);
+        let tree = tree_of(&ps, 100);
+        let degree = 3usize;
+        let m3 = (degree + 1).pow(3);
+        let cc = ClusterCharges::compute_all(&tree, degree);
+        let mut window = vec![-1.0; tree.num_nodes() * m3];
+        write_approximable_charges(&tree, degree, &mut window);
+        for (idx, slot) in window.chunks(m3).enumerate() {
+            if cc.is_computed(idx) {
+                assert_eq!(slot, cc.charges(idx));
+            } else {
+                assert!(slot.iter().all(|&v| v == -1.0), "node {idx} untouched");
+            }
+        }
     }
 
     #[test]

@@ -29,13 +29,18 @@ pub const PHASE2_FLOPS_PER_TERM: f64 = 5.0;
 /// Exact operation counts for one treecode evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
-    /// Target×source pairs on the direct path (Eq. 9).
+    /// Target×source pairs on the direct path (Eq. 9). This counts
+    /// interactions, not kernel calls: a mutual near-field leaf pair
+    /// ([`crate::pairs`]) is counted on both batches' lists although
+    /// its kernel values are computed once.
     pub direct_interactions: u64,
     /// Target×proxy pairs on the approximation path (Eq. 11).
     pub approx_interactions: u64,
     /// Phase-1 precompute terms: `Σ_clusters N_C · (n+1)` (per Eq. 14,
     /// counted once per (source, node) pair in one dimension; the flop
-    /// constant covers the three dimensions).
+    /// constant covers the three dimensions). Like the modeled precompute
+    /// launches, the precompute counts cover every cluster, including
+    /// those no MAC can accept, whose charges the host never computes.
     pub precompute_phase1_terms: u64,
     /// Phase-2 precompute terms: `Σ_clusters N_C · (n+1)³`.
     pub precompute_phase2_terms: u64,

@@ -11,13 +11,10 @@
 
 use rayon::prelude::*;
 
-use crate::charges::ClusterCharges;
 use crate::engine::PreparedTreecode;
 use crate::kernel::GradientKernel;
-use crate::p2p::{FieldOut, Sources, Targets};
+use crate::p2p::BlockKernel;
 use crate::particles::ParticleSet;
-use crate::traversal::BatchLists;
-use crate::tree::{batch::Batch, SourceTree};
 
 /// Potentials and their gradients at every target, in original target
 /// order. The force on charge `q_i` is `-q_i · (gx, gy, gz)[i]`.
@@ -33,107 +30,32 @@ pub struct FieldResult {
     pub gz: Vec<f64>,
 }
 
-/// Evaluate one batch's potentials **and gradients** against its
-/// interaction lists, accumulating into the four batch-local output
-/// slices (each of length `batch.num_targets()`). This is the field
-/// counterpart of [`crate::engine::eval_batch_into`] — the same loop
-/// structure, with a four-output kernel — shared by the serial and the
-/// rayon paths; the simulated-GPU field kernels run the same
-/// [`crate::p2p::field`] body and stay bitwise identical to it.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_field_batch_into(
-    batch: &Batch,
-    lists: &BatchLists,
-    tree: &SourceTree,
-    charges: &ClusterCharges,
-    targets: &ParticleSet,
-    kernel: &dyn GradientKernel,
-    pot: &mut [f64],
-    gx: &mut [f64],
-    gy: &mut [f64],
-    gz: &mut [f64],
-) {
-    debug_assert_eq!(pot.len(), batch.num_targets());
-    let t = Targets::of(targets, batch.start..batch.end);
-    // Approximation path (Eq. 11): proxies with modified charges.
-    for &ci in &lists.approx {
-        let out = FieldOut::new(pot, gx, gy, gz);
-        kernel.p2p_field(t, charges.proxy_sources(ci as usize), out);
-    }
-    // Direct path (Eq. 9): cluster sources.
-    let sp = tree.particles();
-    for &ci in &lists.direct {
-        let node = tree.node(ci as usize);
-        let out = FieldOut::new(pot, gx, gy, gz);
-        kernel.p2p_field(t, Sources::of(sp, node.start..node.end), out);
-    }
-}
-
 impl PreparedTreecode {
     /// Evaluate potentials and gradients serially over the interaction
     /// lists (same preparation as potential-only evaluation — the
     /// modified charges are shared).
     pub fn evaluate_field(&self, kernel: &dyn GradientKernel) -> FieldResult {
-        let tp = self.batches.particles();
-        let n = tp.len();
-        let mut pot = vec![0.0; n];
-        let mut gx = vec![0.0; n];
-        let mut gy = vec![0.0; n];
-        let mut gz = vec![0.0; n];
-
-        for (b, bl) in self.batches.batches().iter().zip(&self.lists.per_batch) {
-            let r = b.start..b.end;
-            let (p, x, y, z) = (
-                &mut pot[r.clone()],
-                &mut gx[r.clone()],
-                &mut gy[r.clone()],
-                &mut gz[r],
-            );
-            eval_field_batch_into(b, bl, &self.tree, &self.charges, tp, kernel, p, x, y, z);
-        }
-
-        FieldResult {
-            potentials: self.batches.scatter_to_original(&pot),
-            gx: self.batches.scatter_to_original(&gx),
-            gy: self.batches.scatter_to_original(&gy),
-            gz: self.batches.scatter_to_original(&gz),
-        }
+        FieldResult::from_columns(self.evaluate_block(BlockKernel::Field(kernel), false))
     }
 
-    /// Evaluate potentials and gradients with one rayon task per batch.
-    /// Batches own disjoint contiguous target ranges, so the result is
-    /// deterministic and bitwise identical to [`Self::evaluate_field`].
+    /// Evaluate potentials and gradients with pool tasks; bitwise
+    /// identical to [`Self::evaluate_field`] at any pool size.
     pub fn evaluate_field_parallel(&self, kernel: &dyn GradientKernel) -> FieldResult {
-        let tp = self.batches.particles();
-        let n = tp.len();
-        let per_batch: Vec<[Vec<f64>; 4]> = self
-            .batches
-            .batches()
-            .par_iter()
-            .zip(&self.lists.per_batch)
-            .map(|(b, bl)| {
-                let nb = b.num_targets();
-                let mut out = [vec![0.0; nb], vec![0.0; nb], vec![0.0; nb], vec![0.0; nb]];
-                let [p, x, y, z] = &mut out;
-                eval_field_batch_into(b, bl, &self.tree, &self.charges, tp, kernel, p, x, y, z);
-                out
-            })
-            .collect();
-        let mut pot = vec![0.0; n];
-        let mut gx = vec![0.0; n];
-        let mut gy = vec![0.0; n];
-        let mut gz = vec![0.0; n];
-        for (b, [p, x, y, z]) in self.batches.batches().iter().zip(&per_batch) {
-            pot[b.start..b.end].copy_from_slice(p);
-            gx[b.start..b.end].copy_from_slice(x);
-            gy[b.start..b.end].copy_from_slice(y);
-            gz[b.start..b.end].copy_from_slice(z);
-        }
-        FieldResult {
-            potentials: self.batches.scatter_to_original(&pot),
-            gx: self.batches.scatter_to_original(&gx),
-            gy: self.batches.scatter_to_original(&gy),
-            gz: self.batches.scatter_to_original(&gz),
+        FieldResult::from_columns(self.evaluate_block(BlockKernel::Field(kernel), true))
+    }
+}
+
+impl FieldResult {
+    /// The four output columns of a field block kernel
+    /// (`[potentials, gx, gy, gz]`, see [`BlockKernel::columns`]).
+    pub fn from_columns(columns: Vec<Vec<f64>>) -> Self {
+        let [potentials, gx, gy, gz]: [Vec<f64>; 4] =
+            columns.try_into().expect("four field columns");
+        Self {
+            potentials,
+            gx,
+            gy,
+            gz,
         }
     }
 }

@@ -36,6 +36,24 @@
 //! that delegate `eval` to a kernel behind a reference forward the block
 //! methods too (see the `&K` impls below), or they would fall back to
 //! one dynamic call per pair.
+//!
+//! ## Symmetry
+//!
+//! [`Kernel::symmetric`] is an opt-in promise, `false` by default: for
+//! every displacement `d`, `eval(−d)` and `eval_f32(−d)` return the
+//! bits of `eval(d)` and `eval_f32(d)`; for a [`GradientKernel`],
+//! `eval_with_grad(−d)` returns `g` bit for bit and the exactly negated
+//! gradient `(−gx, −gy, −gz)` of `eval_with_grad(d) = (g, gx, gy, gz)`;
+//! and the block methods keep the provided bodies. Zeros may differ in
+//! sign: a zero term cannot change a sum that starts from `+0.0`. Radial
+//! kernels written in `dx·dx + dy·dy + dz·dz`, with the gradient as
+//! `c·dx`, meet the promise: negation is exact, squares ignore the
+//! sign, and a product's sign is the XOR of its factors' signs. Engines
+//! then evaluate a mutual near-field leaf pair once
+//! ([`Kernel::p2p_potential_pair`]) instead of as two blocks, with the
+//! same bits in every output that is not NaN (Rust does not pin the
+//! sign of a NaN, and negating one flips it). A kernel that breaks the
+//! promise would make the two evaluation orders disagree.
 
 use crate::p2p::{self, FieldOut, Sources, Targets};
 
@@ -67,6 +85,26 @@ pub trait Kernel: Sync + Send {
     /// cluster block (see [`crate::p2p::potential`]).
     fn p2p_potential(&self, targets: Targets<'_>, sources: Sources<'_>, out: &mut [f64]) {
         p2p::potential(self, targets, sources, out)
+    }
+
+    /// Whether `G(−d)` equals `G(d)` bit for bit (see the module docs
+    /// for the full contract). Defaults to `false`, which keeps every
+    /// block on the one-sided path.
+    fn symmetric(&self) -> bool {
+        false
+    }
+
+    /// Evaluate one mutual pair of particle blocks once, delivering both
+    /// block sums (see [`crate::p2p::potential_pair`]). Engines call it
+    /// only for kernels that declare [`Kernel::symmetric`].
+    fn p2p_potential_pair(
+        &self,
+        a: Sources<'_>,
+        b: Sources<'_>,
+        out_a: &mut [f64],
+        sums_b: &mut [f64],
+    ) {
+        p2p::potential_pair(self, a, b, out_a, sums_b)
     }
 }
 
@@ -100,6 +138,18 @@ pub trait GradientKernel: Kernel {
     fn p2p_field(&self, targets: Targets<'_>, sources: Sources<'_>, out: FieldOut<'_>) {
         p2p::field(self, targets, sources, out)
     }
+
+    /// Field counterpart of [`Kernel::p2p_potential_pair`] (see
+    /// [`crate::p2p::field_pair`]).
+    fn p2p_field_pair(
+        &self,
+        a: Sources<'_>,
+        b: Sources<'_>,
+        out_a: FieldOut<'_>,
+        sums_b: FieldOut<'_>,
+    ) {
+        p2p::field_pair(self, a, b, out_a, sums_b)
+    }
 }
 
 /// A reference to a kernel is a kernel; every method forwards, the block
@@ -130,6 +180,20 @@ impl<K: Kernel + ?Sized> Kernel for &K {
     fn p2p_potential(&self, targets: Targets<'_>, sources: Sources<'_>, out: &mut [f64]) {
         (**self).p2p_potential(targets, sources, out)
     }
+
+    fn symmetric(&self) -> bool {
+        (**self).symmetric()
+    }
+
+    fn p2p_potential_pair(
+        &self,
+        a: Sources<'_>,
+        b: Sources<'_>,
+        out_a: &mut [f64],
+        sums_b: &mut [f64],
+    ) {
+        (**self).p2p_potential_pair(a, b, out_a, sums_b)
+    }
 }
 
 impl<K: GradientKernel + ?Sized> GradientKernel for &K {
@@ -148,6 +212,16 @@ impl<K: GradientKernel + ?Sized> GradientKernel for &K {
 
     fn p2p_field(&self, targets: Targets<'_>, sources: Sources<'_>, out: FieldOut<'_>) {
         (**self).p2p_field(targets, sources, out)
+    }
+
+    fn p2p_field_pair(
+        &self,
+        a: Sources<'_>,
+        b: Sources<'_>,
+        out_a: FieldOut<'_>,
+        sums_b: FieldOut<'_>,
+    ) {
+        (**self).p2p_field_pair(a, b, out_a, sums_b)
     }
 }
 
@@ -209,10 +283,11 @@ impl GradientKernel for Gaussian {
 /// rounding level (~1e-7 relative), visible in the
 /// `ablation_precision` harness.
 ///
-/// The wrapper keeps the provided [`Kernel::p2p_potential`]: it is
-/// monomorphized over `MixedPrecision<K>`, so the block loop inlines the
-/// `f32` evaluation. Forwarding to `K`'s block method would evaluate in
-/// `f64` instead.
+/// The wrapper keeps the provided [`Kernel::p2p_potential`] and
+/// [`Kernel::p2p_potential_pair`]: they are monomorphized over
+/// `MixedPrecision<K>`, so the block loops inline the `f32` evaluation.
+/// Forwarding to `K`'s block methods would evaluate in `f64` instead. It
+/// is symmetric when `K` is: `(−d) as f32` is exactly `−(d as f32)`.
 #[derive(Debug, Clone, Copy)]
 pub struct MixedPrecision<K: Kernel>(pub K);
 
@@ -237,6 +312,10 @@ impl<K: Kernel> Kernel for MixedPrecision<K> {
 
     fn flops_per_eval_gpu(&self) -> f64 {
         self.0.flops_per_eval_gpu() * 0.5
+    }
+
+    fn symmetric(&self) -> bool {
+        self.0.symmetric()
     }
 }
 
@@ -268,6 +347,10 @@ impl Kernel for Coulomb {
 
     fn name(&self) -> &'static str {
         "coulomb"
+    }
+
+    fn symmetric(&self) -> bool {
+        true
     }
 
     // 3 mul + 2 add for r², sqrt ≈ 4, div ≈ 3 ⇒ ~12 flop-equivalents.
@@ -331,6 +414,10 @@ impl Kernel for Yukawa {
         "yukawa"
     }
 
+    fn symmetric(&self) -> bool {
+        true
+    }
+
     // Coulomb cost + libm exp ≈ 9 ⇒ ≈ 1.8× the Coulomb CPU cost.
     fn flops_per_eval_cpu(&self) -> f64 {
         21.6
@@ -376,6 +463,10 @@ impl Kernel for RegularizedYukawa {
 
     fn name(&self) -> &'static str {
         "regularized-yukawa"
+    }
+
+    fn symmetric(&self) -> bool {
+        true
     }
 
     // Yukawa cost + the softening add.
@@ -428,6 +519,10 @@ impl Kernel for RegularizedCoulomb {
         "regularized-coulomb"
     }
 
+    fn symmetric(&self) -> bool {
+        true
+    }
+
     fn flops_per_eval_cpu(&self) -> f64 {
         14.0
     }
@@ -462,6 +557,10 @@ impl Kernel for Gaussian {
 
     fn name(&self) -> &'static str {
         "gaussian"
+    }
+
+    fn symmetric(&self) -> bool {
+        true
     }
 
     fn flops_per_eval_cpu(&self) -> f64 {

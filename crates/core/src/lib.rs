@@ -32,6 +32,7 @@
 //! - [`charges`] — modified charges via the two-phase scheme (Eq. 14–15)
 //! - [`traversal`] — batch × tree traversal producing interaction lists
 //! - [`p2p`] — the batch × cluster loop (Eq. 9 and Eq. 11) every engine runs
+//! - [`pairs`] — mutual near-field leaf pairs, evaluated once per pair
 //! - [`engine`] — serial and parallel CPU engines, plus direct summation
 //! - [`error`] — relative 2-norm error (Eq. 16)
 //! - [`cost`] — analytic op-count → seconds models shared with the GPU sim
@@ -62,6 +63,7 @@ pub mod interp;
 pub mod kernel;
 pub mod mac;
 pub mod p2p;
+pub mod pairs;
 pub mod particles;
 pub mod traversal;
 pub mod tree;

@@ -29,6 +29,15 @@ pub enum MacDecision {
     Subdivide,
 }
 
+/// MAC condition 2 on its own: whether a cluster of `num_particles`
+/// sources can ever be approximated with `proxy_count` proxies. A
+/// cluster that fails it is evaluated directly by every batch on every
+/// rank, so its modified charges are never read.
+#[inline]
+pub fn can_approximate(proxy_count: usize, num_particles: usize) -> bool {
+    proxy_count < num_particles
+}
+
 /// The evaluator for Eq. 13.
 #[derive(Debug, Clone, Copy)]
 pub struct Mac {
@@ -75,7 +84,7 @@ impl Mac {
             } else {
                 MacDecision::Subdivide
             }
-        } else if self.proxy_count >= cluster.num_particles() {
+        } else if !can_approximate(self.proxy_count, cluster.num_particles()) {
             // Separated but the cluster is too small: exact interaction is
             // cheaper *and* more accurate.
             MacDecision::Direct

@@ -24,6 +24,20 @@
 //! compiler vectorizes produces the scalar bits. The portable body
 //! auto-vectorizes close to hand-written intrinsics, so there is no
 //! per-ISA path to keep in step with it.
+//!
+//! ## Mutual pairs
+//!
+//! When the targets are the sources, a near-field leaf pair `(A, B)`
+//! sits on both batches' direct lists and the two blocks evaluate the
+//! kernel at the same `|a_i − b_j|`. [`potential_pair`] and
+//! [`field_pair`] evaluate each particle pair once and deliver both
+//! block sums: `A`'s rows are summed over `j` in source order exactly as
+//! [`potential`] sums them, and `B`'s columns are summed over `i`
+//! ascending from `0.0`, which is the order [`potential`] would use with
+//! `A` as the sources. `b_j − a_i` is exactly `−(a_i − b_j)`, so for a
+//! kernel that declares [`Kernel::symmetric`] both sums carry the bits
+//! of the two separate blocks (a NaN output may differ in sign: the
+//! partner's gradient is the negated one).
 
 use std::ops::Range;
 
@@ -91,6 +105,10 @@ impl<'a> Sources<'a> {
             &ps.q[range],
         )
     }
+
+    fn len(&self) -> usize {
+        self.x.len()
+    }
 }
 
 /// The four accumulator columns of a field block: potential and the
@@ -156,15 +174,58 @@ impl BlockKernel<'_> {
         }
     }
 
+    /// Whether the kernel declares [`Kernel::symmetric`], so mutual
+    /// pairs may run through [`Self::accumulate_pair`].
+    pub fn symmetric(self) -> bool {
+        match self {
+            Self::Potential(k) => k.symmetric(),
+            Self::Field(k) => k.symmetric(),
+        }
+    }
+
     /// Accumulate one batch × cluster block into `out`, which holds
     /// [`Self::columns`] columns of one slot per target.
-    pub fn accumulate(self, targets: Targets<'_>, sources: Sources<'_>, out: &mut [Vec<f64>]) {
+    pub fn accumulate<C: AsMut<[f64]>>(
+        self,
+        targets: Targets<'_>,
+        sources: Sources<'_>,
+        out: &mut [C],
+    ) {
         match (self, out) {
-            (Self::Potential(k), [pot]) => k.p2p_potential(targets, sources, pot),
-            (Self::Field(k), [pot, gx, gy, gz]) => {
-                k.p2p_field(targets, sources, FieldOut::new(pot, gx, gy, gz))
-            }
+            (Self::Potential(k), [pot]) => k.p2p_potential(targets, sources, pot.as_mut()),
+            (Self::Field(k), [pot, gx, gy, gz]) => k.p2p_field(
+                targets,
+                sources,
+                FieldOut::new(pot.as_mut(), gx.as_mut(), gy.as_mut(), gz.as_mut()),
+            ),
             (_, out) => panic!(
+                "{} output columns for a {}-column kernel",
+                out.len(),
+                self.columns()
+            ),
+        }
+    }
+
+    /// Evaluate one mutual pair (see [`potential_pair`]): accumulate
+    /// `a`'s block into `out_a` and overwrite `sums_b` with `b`'s block
+    /// sums, both in [`Self::columns`] columns. Only valid for a
+    /// [`Self::symmetric`] kernel.
+    pub fn accumulate_pair(
+        self,
+        a: Sources<'_>,
+        b: Sources<'_>,
+        out_a: &mut [Vec<f64>],
+        sums_b: &mut [Vec<f64>],
+    ) {
+        match (self, out_a, sums_b) {
+            (Self::Potential(k), [pot], [bpot]) => k.p2p_potential_pair(a, b, pot, bpot),
+            (Self::Field(k), [pot, gx, gy, gz], [bpot, bgx, bgy, bgz]) => k.p2p_field_pair(
+                a,
+                b,
+                FieldOut::new(pot, gx, gy, gz),
+                FieldOut::new(bpot, bgx, bgy, bgz),
+            ),
+            (_, out, _) => panic!(
                 "{} output columns for a {}-column kernel",
                 out.len(),
                 self.columns()
@@ -207,6 +268,62 @@ pub fn field<K: GradientKernel + ?Sized>(
     }
     for i in full..targets.len() {
         field_block::<K, 1>(kernel, targets, i, sources, &mut out);
+    }
+}
+
+/// One mutual pair with `A`'s points as targets and sources alike:
+/// `out_a[i] += Σ_j G(a_i − b_j) qb_j` and `sums_b[j] = Σ_i G(b_j − a_i)
+/// qa_i`, each kernel value computed once. `out_a` gets the bits of
+/// [`potential`] with `b` as the sources; `sums_b` (overwritten) holds
+/// the block sums [`potential`] would add to `B`'s slots with `a` as the
+/// sources, provided the kernel is [`Kernel::symmetric`]. Engines call
+/// it through [`Kernel::p2p_potential_pair`].
+pub fn potential_pair<K: Kernel + ?Sized>(
+    kernel: &K,
+    a: Sources<'_>,
+    b: Sources<'_>,
+    out_a: &mut [f64],
+    sums_b: &mut [f64],
+) {
+    assert_eq!(out_a.len(), a.len(), "one output slot per target");
+    assert_eq!(sums_b.len(), b.len(), "one partner slot per source");
+    sums_b.fill(0.0);
+    let full = a.len() - a.len() % LANES;
+    for i in (0..full).step_by(LANES) {
+        potential_pair_block::<K, LANES>(kernel, a, i, b, out_a, sums_b);
+    }
+    for i in full..a.len() {
+        potential_pair_block::<K, 1>(kernel, a, i, b, out_a, sums_b);
+    }
+}
+
+/// Field counterpart of [`potential_pair`]: the partner's gradient
+/// columns take the exactly negated gradient, which is what
+/// `eval_with_grad(−d)` returns for a symmetric kernel. Engines call it
+/// through [`GradientKernel::p2p_field_pair`].
+pub fn field_pair<K: GradientKernel + ?Sized>(
+    kernel: &K,
+    a: Sources<'_>,
+    b: Sources<'_>,
+    mut out_a: FieldOut<'_>,
+    mut sums_b: FieldOut<'_>,
+) {
+    assert_eq!(out_a.len(), a.len(), "one output slot per target");
+    assert_eq!(sums_b.len(), b.len(), "one partner slot per source");
+    for col in [
+        &mut *sums_b.pot,
+        &mut *sums_b.gx,
+        &mut *sums_b.gy,
+        &mut *sums_b.gz,
+    ] {
+        col.fill(0.0);
+    }
+    let full = a.len() - a.len() % LANES;
+    for i in (0..full).step_by(LANES) {
+        field_pair_block::<K, LANES>(kernel, a, i, b, &mut out_a, &mut sums_b);
+    }
+    for i in full..a.len() {
+        field_pair_block::<K, 1>(kernel, a, i, b, &mut out_a, &mut sums_b);
     }
 }
 
@@ -259,6 +376,84 @@ fn field_block<K: GradientKernel + ?Sized, const W: usize>(
     let cols = [&mut *out.pot, &mut *out.gx, &mut *out.gy, &mut *out.gz];
     for (col, a) in cols.into_iter().zip(acc) {
         for (slot, v) in col[i..i + W].iter_mut().zip(a) {
+            *slot += v;
+        }
+    }
+}
+
+/// Rows `i..i + W` of a mutual pair: the rows sum like
+/// [`potential_block`]; each partner column `j` continues its running
+/// sum over `i` in ascending order.
+#[inline(always)]
+fn potential_pair_block<K: Kernel + ?Sized, const W: usize>(
+    kernel: &K,
+    a: Sources<'_>,
+    i: usize,
+    b: Sources<'_>,
+    out_a: &mut [f64],
+    sums_b: &mut [f64],
+) {
+    let ax: [f64; W] = std::array::from_fn(|l| a.x[i + l]);
+    let ay: [f64; W] = std::array::from_fn(|l| a.y[i + l]);
+    let az: [f64; W] = std::array::from_fn(|l| a.z[i + l]);
+    let aq: [f64; W] = std::array::from_fn(|l| a.q[i + l]);
+    let mut acc = [0.0f64; W];
+    let sources = b.x.iter().zip(b.y).zip(b.z).zip(b.q);
+    for ((((&bx, &by), &bz), &bq), col) in sources.zip(sums_b.iter_mut()) {
+        let g: [f64; W] = std::array::from_fn(|l| kernel.eval(ax[l] - bx, ay[l] - by, az[l] - bz));
+        let mut c = *col;
+        for l in 0..W {
+            acc[l] += g[l] * bq;
+            c += g[l] * aq[l];
+        }
+        *col = c;
+    }
+    for (slot, v) in out_a[i..i + W].iter_mut().zip(acc) {
+        *slot += v;
+    }
+}
+
+/// Field counterpart of [`potential_pair_block`].
+#[inline(always)]
+fn field_pair_block<K: GradientKernel + ?Sized, const W: usize>(
+    kernel: &K,
+    a: Sources<'_>,
+    i: usize,
+    b: Sources<'_>,
+    out_a: &mut FieldOut<'_>,
+    sums_b: &mut FieldOut<'_>,
+) {
+    let ax: [f64; W] = std::array::from_fn(|l| a.x[i + l]);
+    let ay: [f64; W] = std::array::from_fn(|l| a.y[i + l]);
+    let az: [f64; W] = std::array::from_fn(|l| a.z[i + l]);
+    let aq: [f64; W] = std::array::from_fn(|l| a.q[i + l]);
+    let mut acc = [[0.0f64; W]; 4];
+    for j in 0..b.len() {
+        let (bx, by, bz, bq) = (b.x[j], b.y[j], b.z[j], b.q[j]);
+        let e: [(f64, f64, f64, f64); W] =
+            std::array::from_fn(|l| kernel.eval_with_grad(ax[l] - bx, ay[l] - by, az[l] - bz));
+        let mut c = [sums_b.pot[j], sums_b.gx[j], sums_b.gy[j], sums_b.gz[j]];
+        for l in 0..W {
+            let (g, dgx, dgy, dgz) = e[l];
+            acc[0][l] += g * bq;
+            acc[1][l] += dgx * bq;
+            acc[2][l] += dgy * bq;
+            acc[3][l] += dgz * bq;
+            c[0] += g * aq[l];
+            c[1] += -dgx * aq[l];
+            c[2] += -dgy * aq[l];
+            c[3] += -dgz * aq[l];
+        }
+        [sums_b.pot[j], sums_b.gx[j], sums_b.gy[j], sums_b.gz[j]] = c;
+    }
+    let cols = [
+        &mut *out_a.pot,
+        &mut *out_a.gx,
+        &mut *out_a.gy,
+        &mut *out_a.gz,
+    ];
+    for (col, v) in cols.into_iter().zip(acc) {
+        for (slot, v) in col[i..i + W].iter_mut().zip(v) {
             *slot += v;
         }
     }
@@ -376,6 +571,185 @@ mod tests {
         check_field(&RegularizedCoulomb::new(0.1));
         check_field(&RegularizedYukawa::new(2.0, 0.1));
         check_field(&Gaussian::new(1.3));
+    }
+
+    /// Two blocks for the pair tests: the adversarial sources, and
+    /// targets (with charges) some of which coincide with them.
+    fn pair_blocks() -> (ParticleSet, ParticleSet) {
+        let a = adversarial_sources();
+        let mut b = adversarial_targets(&a);
+        for (i, q) in b.q.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *q = -*q;
+            }
+        }
+        b.q[2] = -0.0;
+        (a, b)
+    }
+
+    /// The pair body against two one-sided blocks, for every prefix
+    /// length of both sides.
+    fn check_potential_pair(kernel: &dyn Kernel) {
+        assert!(kernel.symmetric(), "{}", kernel.name());
+        let (pa, pb) = pair_blocks();
+        for na in 0..=2 * LANES + 1 {
+            for nb in 0..=2 * LANES + 1 {
+                let (a, b) = (prefix(&pa, na.min(pa.len())), prefix(&pb, nb));
+                let (sa, sb) = (Sources::of(&a, 0..a.len()), Sources::of(&b, 0..nb));
+                let mut rows = vec![0.5; a.len()];
+                let mut half = vec![f64::NAN; nb];
+                kernel.p2p_potential_pair(sa, sb, &mut rows, &mut half);
+                let mut want_rows = vec![0.5; a.len()];
+                kernel.p2p_potential(Targets::of(&a, 0..a.len()), sb, &mut want_rows);
+                let mut want_half = vec![0.0; nb];
+                kernel.p2p_potential(Targets::of(&b, 0..nb), sa, &mut want_half);
+                let ctx = format!("{} na={na} nb={nb}", kernel.name());
+                assert_eq!(bits(&rows), bits(&want_rows), "{ctx} rows");
+                assert_eq!(bits(&half), bits(&want_half), "{ctx} partner");
+            }
+        }
+    }
+
+    fn check_field_pair(kernel: &dyn GradientKernel) {
+        assert!(kernel.symmetric(), "{}", kernel.name());
+        let block = BlockKernel::Field(kernel);
+        let (pa, pb) = pair_blocks();
+        for na in 0..=2 * LANES + 1 {
+            for nb in 0..=2 * LANES + 1 {
+                let (a, b) = (prefix(&pa, na.min(pa.len())), prefix(&pb, nb));
+                let (sa, sb) = (Sources::of(&a, 0..a.len()), Sources::of(&b, 0..nb));
+                let mut rows = block.zeros(a.len());
+                let mut half = vec![vec![f64::NAN; nb]; 4];
+                block.accumulate_pair(sa, sb, &mut rows, &mut half);
+                let mut want_rows = block.zeros(a.len());
+                block.accumulate(Targets::of(&a, 0..a.len()), sb, &mut want_rows);
+                let mut want_half = block.zeros(nb);
+                block.accumulate(Targets::of(&b, 0..nb), sa, &mut want_half);
+                let ctx = format!("{} na={na} nb={nb}", kernel.name());
+                for c in 0..4 {
+                    assert_eq!(bits(&rows[c]), bits(&want_rows[c]), "{ctx} rows {c}");
+                    // Yukawa's gradient at an overflowing separation is
+                    // NaN, whose sign bit negation flips.
+                    let half = nan_canonical(&half[c]);
+                    assert_eq!(half, nan_canonical(&want_half[c]), "{ctx} partner {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn potential_pair_matches_two_blocks_bitwise() {
+        check_potential_pair(&Coulomb);
+        check_potential_pair(&Yukawa::new(0.5));
+        check_potential_pair(&RegularizedCoulomb::new(0.1));
+        check_potential_pair(&RegularizedYukawa::new(2.0, 0.1));
+        check_potential_pair(&Gaussian::new(1.3));
+        check_potential_pair(&MixedPrecision(Coulomb));
+    }
+
+    #[test]
+    fn field_pair_matches_two_blocks_bitwise() {
+        check_field_pair(&Coulomb);
+        check_field_pair(&Yukawa::new(0.5));
+        check_field_pair(&RegularizedCoulomb::new(0.1));
+        check_field_pair(&RegularizedYukawa::new(2.0, 0.1));
+        check_field_pair(&Gaussian::new(1.3));
+    }
+
+    #[test]
+    fn pair_fixture_has_coincident_points_across_blocks() {
+        let (a, b) = pair_blocks();
+        let coincide = (0..b.len())
+            .any(|i| (0..a.len()).any(|j| (a.x[j], a.y[j], a.z[j]) == (b.x[i], b.y[i], b.z[i])));
+        assert!(coincide);
+        assert!(a.len() > 2 * LANES + 1, "every prefix length of a exists");
+    }
+
+    /// Bits with every NaN replaced by one canonical NaN.
+    fn nan_canonical(v: &[f64]) -> Vec<u64> {
+        let canon = |x: f64| if x.is_nan() { f64::NAN } else { x };
+        v.iter().map(|&x| canon(x).to_bits()).collect()
+    }
+
+    /// Every displacement of the adversarial fixture.
+    fn displacements() -> Vec<(f64, f64, f64)> {
+        let s = adversarial_sources();
+        let t = adversarial_targets(&s);
+        let mut d = Vec::new();
+        for i in 0..t.len() {
+            for j in 0..s.len() {
+                d.push((t.x[i] - s.x[j], t.y[i] - s.y[j], t.z[i] - s.z[j]));
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn symmetric_kernels_are_bitwise_even() {
+        let potentials: [&dyn Kernel; 6] = [
+            &Coulomb,
+            &Yukawa::new(0.5),
+            &RegularizedCoulomb::new(0.1),
+            &RegularizedYukawa::new(2.0, 0.1),
+            &Gaussian::new(1.3),
+            &MixedPrecision(Yukawa::new(0.5)),
+        ];
+        let gradients: [&dyn GradientKernel; 5] = [
+            &Coulomb,
+            &Yukawa::new(0.5),
+            &RegularizedCoulomb::new(0.1),
+            &RegularizedYukawa::new(2.0, 0.1),
+            &Gaussian::new(1.3),
+        ];
+        for (dx, dy, dz) in displacements() {
+            for k in potentials.iter().filter(|k| k.symmetric()) {
+                let (p, m) = (k.eval(dx, dy, dz), k.eval(-dx, -dy, -dz));
+                assert_eq!(p.to_bits(), m.to_bits(), "{} at {dx:e}", k.name());
+                let (f, g) = (dx as f32, dy as f32);
+                let (p32, m32) = (k.eval_f32(f, g, 0.5), k.eval_f32(-f, -g, -0.5));
+                assert_eq!(p32.to_bits(), m32.to_bits(), "{} f32", k.name());
+            }
+            for k in gradients.iter().filter(|k| k.symmetric()) {
+                // Zeros may differ in sign and NaNs in sign bit: neither
+                // changes a sum that starts from +0.0 (see the contract).
+                let canon = |v: f64| if v == 0.0 || v.is_nan() { v.abs() } else { v };
+                let (g, x, y, z) = k.eval_with_grad(dx, dy, dz);
+                let (gm, xm, ym, zm) = k.eval_with_grad(-dx, -dy, -dz);
+                assert_eq!(g.to_bits(), gm.to_bits(), "{}", k.name());
+                let want = [-x, -y, -z].map(|v| canon(v).to_bits());
+                assert_eq!(
+                    [xm, ym, zm].map(|v| canon(v).to_bits()),
+                    want,
+                    "{}",
+                    k.name()
+                );
+            }
+        }
+        assert!(potentials.iter().all(|k| k.symmetric()));
+    }
+
+    #[test]
+    fn kernels_are_asymmetric_by_default() {
+        struct Shifted;
+        impl Kernel for Shifted {
+            fn eval(&self, dx: f64, _: f64, _: f64) -> f64 {
+                dx
+            }
+            fn name(&self) -> &'static str {
+                "shifted"
+            }
+            fn flops_per_eval_cpu(&self) -> f64 {
+                1.0
+            }
+            fn flops_per_eval_gpu(&self) -> f64 {
+                1.0
+            }
+        }
+        assert!(!Shifted.symmetric());
+        let by_ref: &dyn Kernel = &&Shifted;
+        assert!(!by_ref.symmetric());
+        let by_ref: &dyn Kernel = &&Coulomb;
+        assert!(by_ref.symmetric(), "&K forwards");
     }
 
     #[test]

@@ -81,6 +81,18 @@ impl ParticleSet {
         self.q.iter().sum()
     }
 
+    /// Whether both sets hold the same particles in the same order, bit
+    /// for bit (so `-0.0` differs from `0.0` and a NaN may equal itself).
+    pub fn bitwise_eq(&self, other: &ParticleSet) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
+        };
+        same(&self.x, &other.x)
+            && same(&self.y, &other.y)
+            && same(&self.z, &other.z)
+            && same(&self.q, &other.q)
+    }
+
     /// Gather a permuted copy: output particle `i` is input `perm[i]`.
     ///
     /// Used by tree construction to make every cluster own a contiguous

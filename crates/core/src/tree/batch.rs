@@ -8,11 +8,14 @@
 //! coincide with the source-tree leaves — the configuration used in all
 //! of the paper's experiments.
 
+use std::sync::Arc;
+
 use crate::config::BltcParams;
 use crate::geometry::{BoundingBox, Point3};
 use crate::particles::ParticleSet;
 
 use super::build::build_nodes;
+use super::SourceTree;
 
 /// One batch of geometrically localized target particles.
 #[derive(Debug, Clone)]
@@ -41,8 +44,8 @@ impl Batch {
 #[derive(Debug, Clone)]
 pub struct TargetBatches {
     batches: Vec<Batch>,
-    particles: ParticleSet,
-    perm: Vec<usize>,
+    particles: Arc<ParticleSet>,
+    perm: Arc<[usize]>,
 }
 
 impl TargetBatches {
@@ -64,9 +67,51 @@ impl TargetBatches {
             .collect();
         Self {
             batches,
-            particles,
-            perm,
+            particles: Arc::new(particles),
+            perm: perm.into(),
         }
+    }
+
+    /// The batches of `targets` for a treecode over `tree`, which was
+    /// built from `sources` with the same `params`. When the targets are
+    /// the sources (bit for bit) and `N_B = N_L` — the configuration of
+    /// all the paper's experiments — the batches are the tree's leaves:
+    /// they share its reordered particles and permutation instead of
+    /// partitioning the same points again. Otherwise this is
+    /// [`Self::build`]. Either way the batches are the same, bit for bit.
+    pub fn for_tree(
+        targets: &ParticleSet,
+        sources: &ParticleSet,
+        tree: &SourceTree,
+        params: &BltcParams,
+    ) -> Self {
+        let same = std::ptr::eq(targets, sources) || targets.bitwise_eq(sources);
+        if params.batch_cap != params.leaf_cap || !same {
+            return Self::build(targets, params);
+        }
+        let batches = tree
+            .nodes()
+            .iter()
+            .filter(|n| n.is_leaf())
+            .map(|n| Batch {
+                bbox: n.bbox,
+                center: n.center,
+                radius: n.radius,
+                start: n.start,
+                end: n.end,
+            })
+            .collect();
+        Self {
+            batches,
+            particles: Arc::clone(&tree.particles),
+            perm: Arc::clone(&tree.perm),
+        }
+    }
+
+    /// Whether these batches are `tree`'s leaves, in leaf index order
+    /// (built by [`Self::for_tree`] with the targets as the sources).
+    pub fn are_leaves_of(&self, tree: &SourceTree) -> bool {
+        Arc::ptr_eq(&self.particles, &tree.particles)
     }
 
     /// The batches (leaves of the target partition), in index order.
@@ -167,6 +212,37 @@ mod tests {
         let tb = TargetBatches::build(&ps, &params(100));
         assert_eq!(tb.len(), 1);
         assert_eq!(tb.batches()[0].num_targets(), 50);
+    }
+
+    #[test]
+    fn for_tree_shares_the_leaves_only_for_the_same_set_and_caps() {
+        let ps = ParticleSet::random_cube(2000, 25);
+        let p = params(128);
+        let tree = SourceTree::build(&ps, &p);
+        let copy = ps.clone();
+        let built = TargetBatches::build(&ps, &p);
+        for shared in [
+            TargetBatches::for_tree(&ps, &ps, &tree, &p),
+            TargetBatches::for_tree(&copy, &ps, &tree, &p),
+        ] {
+            assert!(shared.are_leaves_of(&tree));
+            assert_eq!(shared.perm(), built.perm());
+            assert_eq!(shared.particles(), built.particles());
+            for (a, b) in shared.batches().iter().zip(built.batches()) {
+                assert_eq!((a.start, a.end, a.bbox), (b.start, b.end, b.bbox));
+                assert_eq!((a.center, a.radius), (b.center, b.radius));
+            }
+            assert_eq!(shared.len(), built.len());
+        }
+        let mut moved = ps.clone();
+        moved.q[7] = -moved.q[7];
+        let other_caps = BltcParams::new(0.7, 4, 128, 64);
+        for (targets, p) in [(&moved, &p), (&ps, &other_caps)] {
+            let own = TargetBatches::for_tree(targets, &ps, &tree, p);
+            assert!(!own.are_leaves_of(&tree));
+            assert_eq!(own.perm(), TargetBatches::build(targets, p).perm());
+        }
+        assert!(!built.are_leaves_of(&tree));
     }
 
     #[test]

@@ -18,6 +18,8 @@ mod build;
 
 use crate::config::BltcParams;
 use crate::geometry::{BoundingBox, Point3};
+use std::sync::Arc;
+
 use crate::particles::ParticleSet;
 
 pub(crate) use build::{build_nodes, RawNode};
@@ -88,8 +90,10 @@ pub struct TreeStats {
 #[derive(Debug, Clone)]
 pub struct SourceTree {
     nodes: Vec<ClusterNode>,
-    particles: ParticleSet,
-    perm: Vec<usize>,
+    /// Shared with [`batch::TargetBatches::for_tree`]'s batches when the
+    /// targets are the sources.
+    particles: Arc<ParticleSet>,
+    perm: Arc<[usize]>,
 }
 
 impl SourceTree {
@@ -113,8 +117,8 @@ impl SourceTree {
             .collect();
         Self {
             nodes,
-            particles,
-            perm,
+            particles: Arc::new(particles),
+            perm: perm.into(),
         }
     }
 

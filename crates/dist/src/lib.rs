@@ -145,7 +145,7 @@ pub use persistent::{
     FieldSession, MigrationRankStats, MigrationReport, RankLocal, SessionFieldReport, Snapshot,
 };
 
-use bltc_core::charges::ClusterCharges;
+use bltc_core::charges::write_approximable_charges;
 use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
 use bltc_core::field::FieldResult;
@@ -528,8 +528,7 @@ fn setup_rank(
 
     // ---- local structures (host) ------------------------------------
     let tree = SourceTree::build(local, params);
-    let batches = TargetBatches::build(local, params);
-    let charges = ClusterCharges::compute_all(&tree, params.degree);
+    let batches = TargetBatches::for_tree(local, local, &tree, params);
 
     // ---- expose RMA windows (collective, like MPI_Win_create) -------
     let meta: Vec<NodeMeta> = tree.nodes().iter().map(NodeMeta::from_node).collect();
@@ -542,10 +541,11 @@ fn setup_rank(
     }
     let part_win = comm.create_window(pdata);
 
+    // Only clusters a MAC can accept are ever fetched from this window;
+    // the rest stay zero. Proxy columns are never built here: remote
+    // ranks derive them from the skeleton.
     let mut qdata = vec![0.0; tree.num_nodes() * m3];
-    for i in 0..tree.num_nodes() {
-        qdata[i * m3..(i + 1) * m3].copy_from_slice(charges.charges(i));
-    }
+    write_approximable_charges(&tree, params.degree, &mut qdata);
     let qhat_win = comm.create_window(qdata);
     comm.barrier(); // all windows exposed; passive epochs may begin
 
@@ -947,14 +947,7 @@ pub fn eval_field_rank(
     kernel: &dyn GradientKernel,
 ) -> (RankReport, FieldResult) {
     let (report, columns) = eval_rank(comm, local, cfg, BlockKernel::Field(kernel));
-    let [potentials, gx, gy, gz]: [Vec<f64>; 4] = columns.try_into().expect("four field columns");
-    let field = FieldResult {
-        potentials,
-        gx,
-        gy,
-        gz,
-    };
-    (report, field)
+    (report, FieldResult::from_columns(columns))
 }
 
 /// The rank-level body shared by potential and field evaluation: local
@@ -1127,6 +1120,48 @@ mod tests {
         assert_eq!(c.spec.name, DeviceSpec::p100().name);
         assert_eq!(c.net.name, NetworkSpec::infiniband_fdr().name);
         assert!(c.streams >= 1);
+    }
+
+    #[test]
+    fn approx_lists_name_only_clusters_with_computed_charges() {
+        // Each rank computes modified charges only for clusters a MAC can
+        // accept; its window holds zeros for the rest. No local or LET
+        // approximation list may name one of those.
+        use bltc_core::mac::can_approximate;
+        use bltc_core::traversal::InteractionLists;
+        let ps = ParticleSet::plummer(3000, 1.0, 9);
+        let c = DistConfig::comet(BltcParams::new(0.7, 3, 40, 40));
+        let m3 = c.params.proxy_count();
+        let (_, locals) = decompose(&ps, 3, &c);
+        let out = run_spmd(3, |comm| {
+            let setup = setup_rank(&comm, &locals[comm.rank()], &c, None);
+            let local = InteractionLists::build(&setup.batches, &setup.tree, &c.params);
+            let mut approx = 0;
+            for &ci in local.per_batch.iter().flat_map(|b| &b.approx) {
+                assert!(can_approximate(
+                    m3,
+                    setup.tree.node(ci as usize).num_particles()
+                ));
+                approx += 1;
+            }
+            let mut skipped = 0;
+            for l in &setup.lets {
+                for &ni in l.per_batch.iter().flat_map(|(a, _)| a) {
+                    assert!(can_approximate(m3, l.nodes[ni as usize].num_particles()));
+                    approx += 1;
+                }
+                let small =
+                    |n: &&bltc_core::tree::ClusterNode| !can_approximate(m3, n.num_particles());
+                skipped += l.nodes.iter().filter(small).count();
+            }
+            (approx, skipped)
+        });
+        for (approx, skipped) in out.results {
+            assert!(
+                approx > 0 && skipped > 0,
+                "approx {approx}, skipped {skipped}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@ use bltc_core::engine::{ComputeResult, PhaseTimings, TreecodeEngine};
 use bltc_core::field::FieldResult;
 use bltc_core::interp::tensor::TensorGrid;
 use bltc_core::kernel::{GradientKernel, Kernel};
+use bltc_core::mac::can_approximate;
 use bltc_core::p2p::{BlockKernel, Sources, Targets};
+use bltc_core::pairs::MutualPairs;
 use bltc_core::particles::ParticleSet;
 use bltc_core::traversal::InteractionLists;
 use bltc_core::tree::{batch::TargetBatches, SourceTree, TreeStats};
@@ -31,7 +33,7 @@ use gpu_sim::{Device, DeviceSpec, LaunchConfig, WorkEstimate};
 
 use crate::kernels::{
     launch_approx_kernel, launch_direct_kernel, launch_precompute_phase1, launch_precompute_phase2,
-    DeviceArrays, THREADS_PER_BLOCK,
+    DeviceArrays, EvalScratch, PairEntry, THREADS_PER_BLOCK,
 };
 
 /// Simulated-clock breakdown of one GPU run (seconds).
@@ -137,6 +139,7 @@ struct StagedPipeline {
     tree: SourceTree,
     batches: TargetBatches,
     lists: InteractionLists,
+    pairs: MutualPairs,
     dev: Device,
     arrays: DeviceArrays,
     sim: GpuSimBreakdown,
@@ -192,8 +195,9 @@ impl GpuEngine {
         // ---- host setup -------------------------------------------------
         let t_host = Instant::now();
         let tree = SourceTree::build(sources, &self.params);
-        let batches = TargetBatches::build(targets, &self.params);
+        let batches = TargetBatches::for_tree(targets, sources, &tree, &self.params);
         let lists = InteractionLists::build(&batches, &tree, &self.params);
+        let pairs = MutualPairs::build(&batches, &tree, &lists);
         let grids: Vec<TensorGrid> = tree
             .nodes()
             .iter()
@@ -216,16 +220,24 @@ impl GpuEngine {
         sim.htod_sources_s = mark;
 
         // Device-resident interpolation state (generated on device): the
-        // proxy columns `ClusterCharges` holds on the host, in the same
-        // concatenated layout.
-        let mut cols = std::array::from_fn(|_| Vec::with_capacity(num_nodes * m3));
-        for grid in &grids {
-            grid.extend_proxy_columns(&mut cols);
+        // proxy columns of the clusters a MAC can accept — the only ones
+        // an approximation launch reads — packed in node order, with a
+        // node → slot table.
+        let mut cols: [Vec<f64>; 3] = Default::default();
+        let mut slots = vec![u32::MAX; num_nodes];
+        let mut next_slot = 0;
+        for ((grid, node), slot) in grids.iter().zip(tree.nodes()).zip(&mut slots) {
+            if can_approximate(m3, node.num_particles()) {
+                grid.extend_proxy_columns(&mut cols);
+                *slot = next_slot;
+                next_slot += 1;
+            }
         }
         let [px, py, pz] = cols;
         let proxy_x = dev.alloc_f64(px);
         let proxy_y = dev.alloc_f64(py);
         let proxy_z = dev.alloc_f64(pz);
+        let proxy_slot = dev.alloc_u32(slots);
         let qhat = dev.alloc_f64(vec![0.0; num_nodes * m3]);
         let qtilde = dev.alloc_f64(vec![0.0; sp.len()]);
 
@@ -249,6 +261,7 @@ impl GpuEngine {
             proxy_x,
             proxy_y,
             proxy_z,
+            proxy_slot,
             qhat,
             qtilde,
             proxy_per_node: m3,
@@ -294,6 +307,7 @@ impl GpuEngine {
             tree,
             batches,
             lists,
+            pairs,
             dev,
             arrays,
             sim,
@@ -333,15 +347,8 @@ impl GpuEngine {
         kernel: &dyn GradientKernel,
     ) -> GpuFieldRunReport {
         let run = self.compute_block(targets, sources, BlockKernel::Field(kernel));
-        let [potentials, gx, gy, gz]: [Vec<f64>; 4] =
-            run.columns.try_into().expect("four field columns");
         GpuFieldRunReport {
-            field: FieldResult {
-                potentials,
-                gx,
-                gy,
-                gz,
-            },
+            field: FieldResult::from_columns(run.columns),
             ops: run.ops,
             timings: run.sim.as_three_phases(),
             tree_stats: run.tree_stats,
@@ -364,6 +371,7 @@ impl GpuEngine {
             tree,
             batches,
             lists,
+            pairs,
             mut dev,
             arrays,
             mut sim,
@@ -379,22 +387,45 @@ impl GpuEngine {
         }
 
         // ---- compute: walk interaction lists, cycling streams -------------
+        // A symmetric kernel evaluates each mutual leaf pair at its first
+        // launch; the partner's launch flushes the parked half.
+        let reuse = kernel.symmetric();
+        let mut scratch = EvalScratch::new(&pairs);
         let mut launch_counter = 0usize;
-        for (b, bl) in batches.batches().iter().zip(&lists.per_batch) {
+        for (bi, (b, bl)) in batches.batches().iter().zip(&lists.per_batch).enumerate() {
             let batch = (b.start, b.end);
             for &ci in &bl.approx {
                 let stream = launch_counter % self.streams;
                 launch_counter += 1;
-                launch_approx_kernel(&mut dev, &arrays, &outs, batch, ci as usize, kernel, stream);
+                let (ci, s) = (ci as usize, &mut scratch);
+                launch_approx_kernel(&mut dev, &arrays, &outs, batch, ci, kernel, stream, s);
             }
-            for &ci in &bl.direct {
+            for (k, &ci) in bl.direct.iter().enumerate() {
                 let stream = launch_counter % self.streams;
                 launch_counter += 1;
                 let node = tree.node(ci as usize);
                 let cluster = (node.start, node.end);
-                launch_direct_kernel(&mut dev, &arrays, &outs, batch, cluster, kernel, stream);
+                let pair = pairs
+                    .partner(bi, k)
+                    .filter(|_| reuse)
+                    .map(|(_, mate)| PairEntry {
+                        entry: pairs.entry(bi, k),
+                        mate,
+                    });
+                launch_direct_kernel(
+                    &mut dev,
+                    &arrays,
+                    &outs,
+                    batch,
+                    cluster,
+                    kernel,
+                    stream,
+                    &mut scratch,
+                    pair,
+                );
             }
         }
+        scratch.finish();
         dev.synchronize();
         sim.compute_s = dev.now() - mark;
         mark = dev.now();
@@ -513,7 +544,7 @@ mod tests {
     use super::*;
     use bltc_core::engine::{direct_sum, SerialEngine};
     use bltc_core::error::relative_l2_error;
-    use bltc_core::kernel::{Coulomb, Yukawa};
+    use bltc_core::kernel::{Coulomb, GradientKernel, Kernel, Yukawa};
 
     fn cube(n: usize, seed: u64) -> ParticleSet {
         ParticleSet::random_cube(n, seed)
@@ -714,6 +745,52 @@ mod tests {
         let gpu = GpuEngine::new(params).compute(&targets, &sources, &Coulomb);
         let exact = direct_sum(&targets, &sources, &Coulomb);
         assert!(relative_l2_error(&exact, &gpu.potentials) < 1e-4);
+    }
+
+    /// A kernel forwarding to `K` pointwise but keeping the default
+    /// `symmetric() == false`: every block takes the one-sided path.
+    struct OneSided<K>(K);
+
+    impl<K: GradientKernel> Kernel for OneSided<K> {
+        fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
+            self.0.eval(dx, dy, dz)
+        }
+        fn name(&self) -> &'static str {
+            "one-sided"
+        }
+        fn flops_per_eval_cpu(&self) -> f64 {
+            self.0.flops_per_eval_cpu()
+        }
+        fn flops_per_eval_gpu(&self) -> f64 {
+            self.0.flops_per_eval_gpu()
+        }
+    }
+
+    impl<K: GradientKernel> GradientKernel for OneSided<K> {
+        fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64) {
+            self.0.eval_with_grad(dx, dy, dz)
+        }
+    }
+
+    #[test]
+    fn mutual_pair_launches_keep_bits_clocks_and_counts() {
+        // Launches end with `EvalScratch::finish`, which panics if a
+        // parked half was never flushed.
+        let ps = cube(2500, 94);
+        let params = BltcParams::new(0.7, 4, 80, 80);
+        let engine = GpuEngine::new(params);
+        let k = Yukawa::new(0.5);
+        let pot = engine.compute_detailed(&ps, &ps, &k);
+        let one = engine.compute_detailed(&ps, &ps, &OneSided(k));
+        assert_eq!(pot.result.potentials, one.result.potentials);
+        assert_eq!(pot.result.ops, one.result.ops);
+        assert_eq!(pot.kernel_launches, one.kernel_launches);
+        assert_eq!(pot.sim.compute_s, one.sim.compute_s);
+        assert_eq!(pot.sim.precompute_s, one.sim.precompute_s);
+        let fld = engine.compute_field_detailed(&ps, &ps, &k);
+        let one = engine.compute_field_detailed(&ps, &ps, &OneSided(k));
+        assert_eq!(fld.field, one.field);
+        assert_eq!(fld.sim.compute_s, one.sim.compute_s);
     }
 
     #[test]

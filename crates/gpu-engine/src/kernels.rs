@@ -6,17 +6,24 @@
 //! estimate; the body runs the CPU engines' P2P block
 //! ([`bltc_core::p2p`]) on borrowed device slices, so results are
 //! bitwise identical. Evaluation bodies accumulate per-target block sums
-//! and flush them with one atomic update per output slot. Cluster proxy
-//! data lives in concatenated device buffers — node `i` owns the slice
-//! `[i·(n+1)³, (i+1)·(n+1)³)` — so one index addresses both the proxy
-//! coordinates and the modified charges, as a real GPU port would lay
-//! them out.
+//! in one reused host scratch ([`EvalScratch`]) and flush them with one
+//! atomic update per output slot. The first launch of a mutual
+//! near-field leaf pair evaluates the pair once and parks the partner's
+//! block sums; the partner's launch flushes them (see
+//! [`bltc_core::pairs`]). Launch geometry and work estimates do not
+//! depend on either, so every modeled clock is unchanged. Cluster proxy
+//! data lives in concatenated device buffers: node `i` owns the
+//! modified charges `[i·(n+1)³, (i+1)·(n+1)³)`, and a node a MAC can
+//! accept owns the proxy coordinates of its slot in a node → slot table
+//! (no other node's proxies are ever read, so none are generated).
 
 use bltc_core::charges::{phase1_intermediates, phase2_accumulate};
 use bltc_core::cost::{PHASE1_FLOPS_PER_TERM, PHASE2_FLOPS_PER_TERM};
 use bltc_core::interp::tensor::TensorGrid;
+use bltc_core::mac::can_approximate;
 use bltc_core::p2p::{BlockKernel, Sources, Targets};
-use gpu_sim::{BufF64, Device, DeviceMemory, LaunchConfig, WorkEstimate};
+use bltc_core::pairs::{MutualPairs, PairStash};
+use gpu_sim::{BufF64, BufU32, Device, DeviceMemory, LaunchConfig, WorkEstimate};
 
 /// Threads per block used by all four kernels (the inner parallel width).
 pub const THREADS_PER_BLOCK: usize = 128;
@@ -41,12 +48,15 @@ pub struct DeviceArrays {
     /// Potentials (batch order), accumulated by the eval kernels; the
     /// first of a launch's output buffers.
     pub pot: BufF64,
-    /// Concatenated proxy x-coordinates, `(n+1)³` per node.
+    /// Concatenated proxy x-coordinates, `(n+1)³` per slot.
     pub proxy_x: BufF64,
     /// Concatenated proxy y-coordinates.
     pub proxy_y: BufF64,
     /// Concatenated proxy z-coordinates.
     pub proxy_z: BufF64,
+    /// Proxy slot of each node (`u32::MAX` for a node no MAC can
+    /// accept, which has no proxies).
+    pub proxy_slot: BufU32,
     /// Concatenated modified charges, `(n+1)³` per node.
     pub qhat: BufF64,
     /// Per-source intermediates `q̃` (tree order).
@@ -58,7 +68,10 @@ pub struct DeviceArrays {
 /// Preprocessing kernel 1 (Eq. 14): intermediates `q̃_j` for one cluster.
 ///
 /// Grid: one block per source particle; threads parallelize over the
-/// `n+1` terms of each dimension's denominator sum, then reduce.
+/// `n+1` terms of each dimension's denominator sum, then reduce. The
+/// host body skips a cluster no MAC can accept (its charges are never
+/// read); the launch and its work estimate stay, so the modeled clock
+/// still charges it.
 pub fn launch_precompute_phase1(
     dev: &mut Device,
     arrays: &DeviceArrays,
@@ -76,7 +89,11 @@ pub fn launch_precompute_phase1(
     );
     let cfg = LaunchConfig::new("precompute_phase1", nc, THREADS_PER_BLOCK).stream(stream);
     let (sx, sy, sz, sq, qt) = (arrays.sx, arrays.sy, arrays.sz, arrays.sq, arrays.qtilde);
+    let needed = can_approximate(arrays.proxy_per_node, nc);
     dev.launch(cfg, work, move |mem| {
+        if !needed {
+            return;
+        }
         let r = start..end;
         let vals = phase1_intermediates(
             grid,
@@ -93,7 +110,8 @@ pub fn launch_precompute_phase1(
 /// cluster from its intermediates.
 ///
 /// Grid: one block per Chebyshev point; threads parallelize over the
-/// cluster's sources, then reduce into `q̂_k`.
+/// cluster's sources, then reduce into `q̂_k`. Skipped on the host like
+/// phase 1.
 pub fn launch_precompute_phase2(
     dev: &mut Device,
     arrays: &DeviceArrays,
@@ -112,7 +130,11 @@ pub fn launch_precompute_phase2(
     );
     let cfg = LaunchConfig::new("precompute_phase2", m3, THREADS_PER_BLOCK).stream(stream);
     let (sx, sy, sz, qt, qhat) = (arrays.sx, arrays.sy, arrays.sz, arrays.qtilde, arrays.qhat);
+    let needed = can_approximate(m3, nc);
     dev.launch(cfg, work, move |mem| {
+        if !needed {
+            return;
+        }
         let r = start..end;
         let vals = phase2_accumulate(
             grid,
@@ -134,6 +156,12 @@ pub fn launch_precompute_phase2(
 /// potentials, then for a [`BlockKernel::Field`] the three gradient
 /// components — four outputs per target, same launch geometry, ~4× the
 /// flops (see `GradientKernel::grad_flops_per_eval_gpu`).
+///
+/// `pair` marks a mutual entry (`kernel` must be symmetric, and the
+/// batch's targets must be the sources of the same range): the launch
+/// flushes the half its partner parked, or evaluates the pair and parks
+/// the partner's half.
+#[allow(clippy::too_many_arguments)]
 pub fn launch_direct_kernel(
     dev: &mut Device,
     arrays: &DeviceArrays,
@@ -142,9 +170,15 @@ pub fn launch_direct_kernel(
     cluster_range: (usize, usize),
     kernel: BlockKernel<'_>,
     stream: usize,
+    scratch: &mut EvalScratch,
+    pair: Option<PairEntry>,
 ) {
     let names = ["batch_cluster_direct", "batch_cluster_direct_field"];
-    let cluster = Cluster::Particles(cluster_range.0, cluster_range.1);
+    let (s0, s1) = cluster_range;
+    let cluster = match pair {
+        Some(entry) => Cluster::Mutual(s0, s1, entry),
+        None => Cluster::Particles(s0, s1),
+    };
     launch_eval(
         dev,
         arrays,
@@ -154,6 +188,7 @@ pub fn launch_direct_kernel(
         cluster,
         kernel,
         stream,
+        scratch,
     );
 }
 
@@ -162,6 +197,7 @@ pub fn launch_direct_kernel(
 /// Identical structure to the direct-sum kernel with the cluster's
 /// `(n+1)³` Chebyshev proxies (and their modified charges) in place of
 /// the sources — the paper's key GPU-enabling property.
+#[allow(clippy::too_many_arguments)]
 pub fn launch_approx_kernel(
     dev: &mut Device,
     arrays: &DeviceArrays,
@@ -170,6 +206,7 @@ pub fn launch_approx_kernel(
     node_idx: usize,
     kernel: BlockKernel<'_>,
     stream: usize,
+    scratch: &mut EvalScratch,
 ) {
     let names = ["batch_cluster_approx", "batch_cluster_approx_field"];
     let cluster = Cluster::Proxies(node_idx);
@@ -182,7 +219,53 @@ pub fn launch_approx_kernel(
         cluster,
         kernel,
         stream,
+        scratch,
     );
+}
+
+/// A mutual direct entry: its own id and its partner's, as numbered by
+/// [`MutualPairs`].
+#[derive(Debug, Clone, Copy)]
+pub struct PairEntry {
+    /// This launch's entry id.
+    pub entry: usize,
+    /// The partner's entry id.
+    pub mate: usize,
+}
+
+/// Host scratch shared by the evaluation launches of one pass over the
+/// interaction lists: one set of per-target accumulators, reused by
+/// every launch, and the stash of parked mutual-pair halves.
+#[derive(Debug)]
+pub struct EvalScratch {
+    acc: Vec<Vec<f64>>,
+    stash: PairStash,
+}
+
+impl EvalScratch {
+    /// Scratch for a pass over lists whose mutual entries `pairs` numbers.
+    pub fn new(pairs: &MutualPairs) -> Self {
+        Self {
+            acc: Vec::new(),
+            stash: PairStash::new(pairs),
+        }
+    }
+
+    /// End the pass; panics if a parked half was never flushed. Returns
+    /// the peak parked bytes.
+    pub fn finish(self) -> usize {
+        self.stash.finish()
+    }
+
+    /// The accumulators, zeroed for `columns` columns of `n` targets.
+    fn zeroed(&mut self, columns: usize, n: usize) -> &mut [Vec<f64>] {
+        self.acc.resize_with(columns, Vec::new);
+        for col in &mut self.acc {
+            col.clear();
+            col.resize(n, 0.0);
+        }
+        &mut self.acc
+    }
 }
 
 /// The source side of one evaluation launch.
@@ -190,6 +273,8 @@ pub fn launch_approx_kernel(
 enum Cluster {
     /// Source particles `start..end` (tree order).
     Particles(usize, usize),
+    /// Source particles `start..end` forming a mutual pair with the batch.
+    Mutual(usize, usize, PairEntry),
     /// A node's proxies and modified charges.
     Proxies(usize),
 }
@@ -197,37 +282,43 @@ enum Cluster {
 impl Cluster {
     fn len(self, a: &DeviceArrays) -> usize {
         match self {
-            Self::Particles(s0, s1) => s1 - s0,
+            Self::Particles(s0, s1) | Self::Mutual(s0, s1, _) => s1 - s0,
             Self::Proxies(_) => a.proxy_per_node,
         }
     }
 
     fn sources<'m>(self, mem: &'m DeviceMemory, a: &DeviceArrays) -> Sources<'m> {
-        let (x, y, z, q, r) = match self {
-            Self::Particles(s0, s1) => (a.sx, a.sy, a.sz, a.sq, s0..s1),
+        match self {
+            Self::Particles(s0, s1) | Self::Mutual(s0, s1, _) => particles(mem, a, s0, s1),
             Self::Proxies(i) => {
                 let m3 = a.proxy_per_node;
-                (
-                    a.proxy_x,
-                    a.proxy_y,
-                    a.proxy_z,
-                    a.qhat,
-                    i * m3..(i + 1) * m3,
+                let slot = mem.u32(a.proxy_slot)[i] as usize;
+                let p = slot * m3..(slot + 1) * m3;
+                Sources::new(
+                    &mem.f64(a.proxy_x)[p.clone()],
+                    &mem.f64(a.proxy_y)[p.clone()],
+                    &mem.f64(a.proxy_z)[p],
+                    &mem.f64(a.qhat)[i * m3..(i + 1) * m3],
                 )
             }
-        };
-        Sources::new(
-            &mem.f64(x)[r.clone()],
-            &mem.f64(y)[r.clone()],
-            &mem.f64(z)[r.clone()],
-            &mem.f64(q)[r],
-        )
+        }
     }
+}
+
+/// Source particles `s0..s1` (tree order) as one source block.
+fn particles<'m>(mem: &'m DeviceMemory, a: &DeviceArrays, s0: usize, s1: usize) -> Sources<'m> {
+    Sources::new(
+        &mem.f64(a.sx)[s0..s1],
+        &mem.f64(a.sy)[s0..s1],
+        &mem.f64(a.sz)[s0..s1],
+        &mem.f64(a.sq)[s0..s1],
+    )
 }
 
 /// Shared body of the evaluation launches: one P2P block on borrowed
 /// device slices into per-target block sums, flushed with one atomic
-/// update per output array per target.
+/// update per output array per target. A mutual launch flushes its
+/// parked half instead, or evaluates the pair and parks the partner's.
 #[allow(clippy::too_many_arguments)]
 fn launch_eval(
     dev: &mut Device,
@@ -238,6 +329,7 @@ fn launch_eval(
     cluster: Cluster,
     kernel: BlockKernel<'_>,
     stream: usize,
+    scratch: &mut EvalScratch,
 ) {
     let (t0, t1) = batch_range;
     let nb = t1 - t0;
@@ -257,18 +349,40 @@ fn launch_eval(
     dev.launch(cfg, work, move |mem| {
         // Block i: target t0+i; threads j over sources; the in-order sum
         // models the deterministic block reduction.
-        let targets = Targets::new(
-            &mem.f64(a.tx)[t0..t1],
-            &mem.f64(a.ty)[t0..t1],
-            &mem.f64(a.tz)[t0..t1],
-        );
-        let mut acc = kernel.zeros(nb);
-        kernel.accumulate(targets, cluster.sources(mem, &a), &mut acc);
-        // The #pragma acc atomic update.
-        for (&buf, vals) in outs.iter().zip(&acc) {
-            for (slot, v) in mem.f64_mut(buf)[t0..t1].iter_mut().zip(vals) {
-                *slot += v;
-            }
+        let parked = match cluster {
+            Cluster::Mutual(_, _, pair) => scratch.stash.take(pair.entry),
+            _ => None,
+        };
+        if let Some(half) = parked {
+            flush(mem, outs, t0, &half);
+            return;
         }
+        let sources = cluster.sources(mem, &a);
+        let columns = kernel.columns();
+        if let Cluster::Mutual(_, _, pair) = cluster {
+            // The batch's targets are the sources of its own range.
+            let own = particles(mem, &a, t0, t1);
+            let mut half = kernel.zeros(nc);
+            kernel.accumulate_pair(own, sources, scratch.zeroed(columns, nb), &mut half);
+            scratch.stash.put(pair.mate, half);
+        } else {
+            let targets = Targets::new(
+                &mem.f64(a.tx)[t0..t1],
+                &mem.f64(a.ty)[t0..t1],
+                &mem.f64(a.tz)[t0..t1],
+            );
+            kernel.accumulate(targets, sources, scratch.zeroed(columns, nb));
+        }
+        flush(mem, outs, t0, &scratch.acc);
     });
+}
+
+/// The #pragma acc atomic update: add per-target block sums to the
+/// output arrays from target `t0` on.
+fn flush(mem: &mut DeviceMemory, outs: &[BufF64], t0: usize, sums: &[Vec<f64>]) {
+    for (&buf, vals) in outs.iter().zip(sums) {
+        for (slot, v) in mem.f64_mut(buf)[t0..].iter_mut().zip(vals) {
+            *slot += v;
+        }
+    }
 }

@@ -73,7 +73,10 @@ proptest! {
     fn modified_charges_conserve_charge(ps in arb_particles(200), degree in 1usize..7) {
         let params = BltcParams::new(0.7, degree, 1000, 1000);
         let tree = SourceTree::build(&ps, &params);
-        let cc = ClusterCharges::compute_all(&tree, degree);
+        // Up to 200 particles against up to 216 proxies: the root may be
+        // too small for any MAC to accept, so compute it explicitly.
+        let mut cc = ClusterCharges::grids_only(&tree, degree);
+        cc.compute_node(&tree, 0);
         let total: f64 = cc.charges(0).iter().sum();
         let direct: f64 = ps.total_charge();
         prop_assert!((total - direct).abs() < 1e-8 * (1.0 + direct.abs()) * ps.len() as f64,
